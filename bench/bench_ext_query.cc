@@ -387,6 +387,7 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
 
   exec::ExecConfig cfg;
   cfg.isa = isa;
+  cfg.isa_mode = exec::IsaMode::kStatic;  // each row measures one ISA
   cfg.threads = threads;
   cfg.pipeline_mode = exec::PipelineMode::kDynamic;
 

@@ -5,6 +5,17 @@
 // table) and blocks for the ResultSet. The axes:
 //
 //   clients {8, 64} x executor threads {1, 8} x shared scans {off, on}
+//     x ISA config {scalar, default}
+//
+// The ISA axis (IsaAxis below): `scalar` pins isa = kScalar, static — the
+// paper's baseline kernels, what every serving row measured before the
+// executor defaulted to SIMD — and `default` serves the ExecConfig default:
+// the host's widest ISA as the anchor, variants chosen adaptively, with
+// the scheduler's per-key decisions persisting across waves. Scalar rows
+// keep the historical variant names (serve_solo / serve_shared / wire);
+// default rows append "_adaptive_<anchor isa>", so the gates can hold the
+// AVX-512 default to a ratio of its same-cell scalar row
+// (scripts/bench_baselines.json serve-isa-*).
 //
 // With shared scans off every query runs its own full sweep of S; with them
 // on the scheduler gathers the wave (shared_gather_hint = clients) and one
@@ -73,6 +84,42 @@ const server::Catalog& ServeCatalog() {
   return *catalog;
 }
 
+/// ISA axis value 0 pins the scalar kernels statically; 1 keeps the
+/// ExecConfig default. Returns the variant suffix of the row: empty for
+/// scalar, "_adaptive_<anchor>" for the default.
+std::string IsaAxis(int64_t axis, exec::ExecConfig* cfg) {
+  if (axis == 0) {
+    cfg->isa = Isa::kScalar;
+    cfg->isa_mode = exec::IsaMode::kStatic;
+    return "";
+  }
+  return std::string("_adaptive_") + IsaName(EffectiveIsa(cfg->isa));
+}
+
+/// " isa=<anchor>" label field of a row served with `cfg`.
+std::string IsaLabel(const exec::ExecConfig& cfg) {
+  return std::string(" isa=") + IsaName(EffectiveIsa(cfg.isa));
+}
+
+/// Runs untimed waves whose registry deltas stay out of the row: at least
+/// one per case, and until the process has been serving for 2 s. A fresh
+/// process's per-query buffers above glibc's initial 128 KiB mmap
+/// threshold are fresh mmaps that page-fault on every query until frees
+/// have raised the dynamic threshold; that took ~1.5 s of waves, during
+/// which the first case in the binary (a scalar row) measured 2.5-3.5x
+/// its steady state (gone with MALLOC_MMAP_THRESHOLD_ pinned). The warm-up
+/// also leaves a default row's scheduler with the per-key adaptive state
+/// a long-running server has.
+template <typename Wave>
+void WarmUp(const Wave& wave) {
+  static const uint64_t first_ns = obs::NowNs();
+  const auto before = MetricsSnapshotNow();
+  do {
+    wave();
+  } while (obs::NowNs() - first_ns < 2'000'000'000);
+  AccumulateExcludedSince(before);
+}
+
 /// Client i of `clients` probes its own disjoint window of the fact table.
 server::QuerySpec ClientSpec(int i, int clients) {
   server::QuerySpec spec;
@@ -107,15 +154,17 @@ void BM_Serve(benchmark::State& state) {
   // dynamic chain by construction, and identical executors keep the
   // chunks_pushed comparison structural.
   cfg.pipeline_mode = exec::PipelineMode::kDynamic;
+  const std::string isa_suffix = IsaAxis(state.range(3), &cfg);
 
   std::vector<uint64_t> latencies_ns;
   latencies_ns.reserve(64 * static_cast<size_t>(clients));
   uint64_t completed = 0;
   uint64_t min_morsels = ~uint64_t{0};
 
-  for (auto _ : state) {
-    std::vector<server::ResultSet> results(clients);
-    std::vector<uint64_t> wave_ns(clients);
+  // One wave: every client submits its query at once and blocks for it.
+  std::vector<server::ResultSet> results(clients);
+  std::vector<uint64_t> wave_ns(clients);
+  const auto run_wave = [&] {
     std::atomic<int> ready{0};
     std::vector<std::thread> workers;
     workers.reserve(clients);
@@ -131,6 +180,11 @@ void BM_Serve(benchmark::State& state) {
       });
     }
     for (auto& w : workers) w.join();
+  };
+  WarmUp(run_wave);
+
+  for (auto _ : state) {
+    run_wave();
     for (int i = 0; i < clients; ++i) {
       if (!results[i].ok) {
         state.SkipWithError(("query failed: " + results[i].error).c_str());
@@ -163,20 +217,22 @@ void BM_Serve(benchmark::State& state) {
   SetTuplesPerSecond(state,
                      static_cast<double>(kSTuples) * static_cast<double>(clients));
   state.SetLabel(std::string(shared ? "serve_shared" : "serve_solo") +
-                 " clients=" + std::to_string(clients) +
+                 isa_suffix + " clients=" + std::to_string(clients) +
                  " threads=" + std::to_string(threads) +
-                 " shared=" + (shared ? "1" : "0"));
+                 " shared=" + (shared ? "1" : "0") + IsaLabel(cfg));
 }
 
-// {clients, threads, shared}. Solo/shared pairs register adjacently per
-// (clients, threads) cell so the chunks_pushed comparison measures them
-// seconds apart. Fixed iterations keep the counter totals comparable
-// across the shared axis (same number of waves on both sides).
+// {clients, threads, shared, isa}. Solo/shared pairs register adjacently
+// per (clients, threads, isa) cell so the chunks_pushed comparison
+// measures them seconds apart, and each cell's scalar and default rows
+// follow one another for the ISA gate. Fixed iterations keep the counter
+// totals comparable across the shared axis (same number of waves on both
+// sides); each case first runs untimed WarmUp waves.
 BENCHMARK(BM_Serve)
-    ->ArgsProduct({{8}, {1}, {0, 1}})
-    ->ArgsProduct({{8}, {8}, {0, 1}})
-    ->ArgsProduct({{64}, {1}, {0, 1}})
-    ->ArgsProduct({{64}, {8}, {0, 1}})
+    ->ArgsProduct({{8}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{8}, {8}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{64}, {1}, {0, 1}, {0, 1}})
+    ->ArgsProduct({{64}, {8}, {0, 1}, {0, 1}})
     ->Iterations(10)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
@@ -211,6 +267,7 @@ void BM_ServeWeighted(benchmark::State& state) {
   exec::ExecConfig cfg;
   cfg.threads = threads;
   cfg.pipeline_mode = exec::PipelineMode::kDynamic;
+  IsaAxis(0, &cfg);  // the fairness rows stay on the scalar kernels
 
   uint64_t w1_completed = 0, w4_completed = 0;
 
@@ -284,10 +341,12 @@ void BM_ServeWire(benchmark::State& state) {
   net::ServerOptions opts;
   opts.unix_path = "/tmp/simddb_bench_wire_" + std::to_string(getpid()) +
                    "_" + std::to_string(state.range(0)) + "_" +
-                   std::to_string(state.range(1)) + ".sock";
+                   std::to_string(state.range(1)) + "_" +
+                   std::to_string(state.range(2)) + ".sock";
   opts.handler_threads = clients;
   opts.exec.threads = threads;
   opts.exec.pipeline_mode = exec::PipelineMode::kDynamic;
+  const std::string isa_suffix = IsaAxis(state.range(2), &opts.exec);
   net::Server server(&catalog, opts);
   std::string error;
   if (!server.Start(&error)) {
@@ -316,10 +375,12 @@ void BM_ServeWire(benchmark::State& state) {
   std::atomic<uint64_t> wire_rows{0};
   uint64_t wire_queries = 0;
 
-  for (auto _ : state) {
-    std::vector<bool> ok(clients, false);
-    std::vector<uint64_t> rows(clients, 0);
-    std::vector<uint64_t> wave_ns(clients);
+  // char, not bool: client threads write their own element concurrently,
+  // and vector<bool> packs neighbours into one word.
+  std::vector<char> ok(clients, 0);
+  std::vector<uint64_t> rows(clients, 0);
+  std::vector<uint64_t> wave_ns(clients);
+  const auto run_wave = [&] {
     std::atomic<int> ready{0};
     std::vector<std::thread> workers;
     workers.reserve(clients);
@@ -335,6 +396,11 @@ void BM_ServeWire(benchmark::State& state) {
       });
     }
     for (auto& w : workers) w.join();
+  };
+  WarmUp(run_wave);
+
+  for (auto _ : state) {
+    run_wave();
     for (int i = 0; i < clients; ++i) {
       if (!ok[i]) {
         state.SkipWithError("wire query failed or row framing mismatched");
@@ -368,14 +434,16 @@ void BM_ServeWire(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(wire_queries));
   SetTuplesPerSecond(state,
                      static_cast<double>(kSTuples) * static_cast<double>(clients));
-  state.SetLabel("wire clients=" + std::to_string(clients) +
-                 " threads=" + std::to_string(threads));
+  state.SetLabel("wire" + isa_suffix + " clients=" + std::to_string(clients) +
+                 " threads=" + std::to_string(threads) +
+                 IsaLabel(opts.exec));
 }
 
-// {clients, threads}: the socket tax at single-threaded and saturated
-// executor settings, same wave shape as the in-process family.
+// {clients, threads, isa}: the socket tax at single-threaded and saturated
+// executor settings, same wave shape (and warm-up) as the in-process
+// family.
 BENCHMARK(BM_ServeWire)
-    ->ArgsProduct({{8}, {1, 8}})
+    ->ArgsProduct({{8}, {1, 8}, {0, 1}})
     ->Iterations(10)
     ->UseRealTime()
     ->Unit(benchmark::kMillisecond);

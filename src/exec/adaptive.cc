@@ -84,7 +84,36 @@ ScanMode OtherMode(ScanMode m) {
   return m == ScanMode::kCompact ? ScanMode::kBitmap : ScanMode::kCompact;
 }
 
+// AdaptiveDecisions cell of a variant.
+int IsaCell(const AdaptiveVariant& v) { return static_cast<int>(v.isa); }
+int ModeCell(const AdaptiveVariant& v) {
+  return v.scan_mode == ScanMode::kBitmap ? 1 : 0;
+}
+
 }  // namespace
+
+AdaptiveDecisions AdaptiveState::Load() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return decisions_;
+}
+
+void AdaptiveState::Publish(const AdaptiveDecisions& d) {
+  std::lock_guard<std::mutex> lock(mu_);
+  for (int k = 0; k < kNumOpKinds; ++k) {
+    if (d.ops[k].valid) decisions_.ops[k] = d.ops[k];
+  }
+  ++queries_;
+}
+
+uint64_t AdaptiveState::queries() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return queries_;
+}
+
+std::string AdaptiveVariantName(OpKind kind, const AdaptiveVariant& v) {
+  // Strip the "chosen_" prefix: the STATS names and the counters agree.
+  return ChosenCounter(kind, v)->name() + 7;
+}
 
 AdaptiveDispatcher::AdaptiveDispatcher(const ExecConfig& cfg,
                                        ScanMode plan_scan_mode) {
@@ -129,6 +158,57 @@ AdaptiveDispatcher::AdaptiveDispatcher(const ExecConfig& cfg,
                           : cfg.adaptive.exploit_chunks;
     }
   }
+  if (cfg.adaptive_state != nullptr) Seed(cfg.adaptive_state->Load());
+}
+
+void AdaptiveDispatcher::Seed(const AdaptiveDecisions& prior) {
+  for (int k = 0; k < kNumOpKinds; ++k) {
+    const AdaptiveDecisions::Op& p = prior.ops[k];
+    if (!p.valid) continue;
+    OpState& s = ops_[k];
+    for (size_t i = 0; i < s.variants.size(); ++i) {
+      const AdaptiveVariant& v = s.variants[i];
+      s.stats[i].ns.store(p.ns[IsaCell(v)][ModeCell(v)],
+                          std::memory_order_relaxed);
+      s.stats[i].tuples.store(p.tuples[IsaCell(v)][ModeCell(v)],
+                              std::memory_order_relaxed);
+      if (v.isa == p.winner.isa && v.scan_mode == p.winner.scan_mode) {
+        s.winner.store(static_cast<int>(i), std::memory_order_relaxed);
+        s.warm = true;
+      }
+    }
+    // A persisted winner this query cannot run (the fused variants carry
+    // the plan's scan mode, which may differ) leaves the kind cold.
+    if (!s.warm) continue;
+    s.exploit_span = p.exploit_span;
+    // Chunk-paced kinds: one timed chunk per variant per round suffices
+    // when the decayed history supplies the rest of the evidence.
+    if (static_cast<OpKind>(k) != OpKind::kFusedWindow) s.explore_len = 1;
+  }
+}
+
+AdaptiveDecisions AdaptiveDispatcher::Export() const {
+  AdaptiveDecisions out;
+  for (int k = 0; k < kNumOpKinds; ++k) {
+    const OpState& s = ops_[k];
+    if (s.seq.load(std::memory_order_relaxed) == 0 &&
+        !s.reported.load(std::memory_order_relaxed)) {
+      continue;  // this query never ran the kind
+    }
+    AdaptiveDecisions::Op& o = out.ops[k];
+    o.valid = true;
+    o.winner = s.variants[static_cast<size_t>(
+        s.winner.load(std::memory_order_relaxed))];
+    for (size_t i = 0; i < s.variants.size(); ++i) {
+      const AdaptiveVariant& v = s.variants[i];
+      o.ns[IsaCell(v)][ModeCell(v)] =
+          s.stats[i].ns.load(std::memory_order_relaxed);
+      o.tuples[IsaCell(v)][ModeCell(v)] =
+          s.stats[i].tuples.load(std::memory_order_relaxed);
+    }
+    o.exploit_span = s.exploit_span;
+  }
+  return out;
 }
 
 AdaptiveDispatcher::Ticket AdaptiveDispatcher::Acquire(OpKind kind) {
@@ -196,6 +276,9 @@ void AdaptiveDispatcher::Report(OpKind kind, int variant, uint64_t ns,
   }
   st.ns.fetch_add(ns, std::memory_order_relaxed);
   st.tuples.fetch_add(tu, std::memory_order_relaxed);
+  if (!s.reported.load(std::memory_order_relaxed)) {
+    s.reported.store(true, std::memory_order_relaxed);
+  }
 }
 
 bool AdaptiveDispatcher::DecideWinner(OpState& s, OpKind kind,

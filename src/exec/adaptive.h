@@ -60,9 +60,27 @@
 // counts timed chunks, and the per-operator `chosen_<op>_<variant>` counters
 // histogram which variant each chunk actually ran — all exported into bench
 // JSONL rows by the registry like every other instrument.
+//
+// Decisions outlive the query when ExecConfig::adaptive_state is set (the
+// server's QueryScheduler keeps one AdaptiveState per bound key). The
+// dispatcher is *seeded* from the state when it is constructed — each
+// kind's winner, its decayed per-variant ns/tuple samples, and the exploit
+// span the self-paced fused schedule had grown to — and *publishes* its own
+// decisions back when the query ends. Seed and publish each take the
+// state's mutex once per query; in between the dispatcher is private to
+// its query, so concurrent queries on one key never share an atomic on the
+// hot path. A seeded (warm) kind starts where the last query left off: the
+// fused driver opens with the grown exploit span instead of 16 chunks, and
+// the chunk-paced kinds (scan, bloom, join, group-by, build) time one chunk
+// per variant per explore round instead of explore_chunks, the decayed
+// history standing in for the rest of the sample. Every query still runs
+// at least one explore round per kind, so a selectivity shift between
+// queries is caught by the first round.
 
 #include <atomic>
 #include <cstdint>
+#include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/isa.h"
@@ -98,12 +116,73 @@ struct AdaptiveVariant {
   ScanMode scan_mode = ScanMode::kCompact;
 };
 
+/// What a key's adaptive schedules have learned, per operator kind: the
+/// unit an AdaptiveState stores, a dispatcher is seeded from, and a
+/// finished query exports. Samples are kept per (ISA, scan mode) cell, not
+/// per variant index, because a dispatcher's variant order depends on its
+/// query's anchor ISA and plan scan mode.
+struct AdaptiveDecisions {
+  struct Op {
+    bool valid = false;      ///< some query on the key has run this kind
+    AdaptiveVariant winner;  ///< the exploit choice that query ended on
+    /// Decayed explore samples, [isa][scan mode]: ns and tuples summed.
+    uint64_t ns[3][2] = {};
+    uint64_t tuples[3][2] = {};
+    /// Exploit-span length (chunks) a self-paced schedule grew to; 0 for
+    /// the chunk-paced kinds, whose exploit length is fixed.
+    uint64_t exploit_span = 0;
+  };
+  Op ops[kNumOpKinds];
+};
+
+/// Adaptive decisions that persist across the queries of one key. Load
+/// seeds a new query's dispatcher; Publish merges a finished query back.
+/// Both lock one mutex, once per query each.
+class AdaptiveState {
+ public:
+  AdaptiveDecisions Load() const;
+  /// Each kind the query ran replaces the stored entry — the query was
+  /// seeded from that entry, so its samples already carry the decayed
+  /// history. Kinds it did not run (bloom without a filter, the fused
+  /// window on a dynamic plan) keep theirs. When two queries on one key
+  /// overlap, the later publisher's view of a kind wins.
+  void Publish(const AdaptiveDecisions& d);
+  /// Queries that have published into this state.
+  uint64_t queries() const;
+
+ private:
+  mutable std::mutex mu_;
+  AdaptiveDecisions decisions_;
+  uint64_t queries_ = 0;
+};
+
+/// "<op>_<isa>[_<scan mode>]", the suffix of the variant's chosen_*
+/// counter (e.g. "fused_avx512_compact", "build_scalar").
+std::string AdaptiveVariantName(OpKind kind, const AdaptiveVariant& v);
+
 class AdaptiveDispatcher {
  public:
   /// Builds the per-kind variant lists from the host's supported ISAs.
   /// Variant 0 of every kind is the static choice (cfg.isa, plan scan
-  /// mode), so the initial winner before any timing equals static dispatch.
+  /// mode), so the initial winner before any timing equals static dispatch
+  /// — unless cfg.adaptive_state seeds a persisted winner and samples.
   AdaptiveDispatcher(const ExecConfig& cfg, ScanMode plan_scan_mode);
+
+  /// This query's decisions, for AdaptiveState::Publish. Kinds the query
+  /// never ran are left invalid.
+  AdaptiveDecisions Export() const;
+
+  /// True when a persisted decision seeded this kind's schedule.
+  bool warm(OpKind kind) const { return ops_[static_cast<int>(kind)].warm; }
+  /// Exploit-span length the kind's self-paced schedule starts from (the
+  /// persisted one when warm, else 0) and, once set_exploit_span recorded
+  /// it, the length this query grew to.
+  uint64_t exploit_span(OpKind kind) const {
+    return ops_[static_cast<int>(kind)].exploit_span;
+  }
+  void set_exploit_span(OpKind kind, uint64_t chunks) {
+    ops_[static_cast<int>(kind)].exploit_span = chunks;
+  }
 
   struct Ticket {
     int variant = 0;    ///< index into variants(kind)
@@ -172,11 +251,20 @@ class AdaptiveDispatcher {
     std::atomic<uint64_t> seq{0};     ///< schedule position (chunks/windows)
     std::atomic<int> winner{0};
     std::atomic<uint64_t> decided_round{0};  ///< last round a winner was picked
+    /// Set by the first Report: a self-paced kind ran even if no exploit
+    /// span ever decided (grids shorter than one explore round).
+    std::atomic<bool> reported{false};
     /// Schedule lengths in Acquire units: explore_len slots per variant,
     /// then exploit_len slots on the winner.
     uint32_t explore_len = 1;
     uint32_t exploit_len = 1;
+    bool warm = false;          ///< seeded from a persisted decision
+    uint64_t exploit_span = 0;  ///< see exploit_span()
   };
+
+  /// Starts each kind the state has decided on from its persisted winner,
+  /// samples and exploit span.
+  void Seed(const AdaptiveDecisions& prior);
 
   /// Returns true when this call won the once-per-round decision race.
   bool DecideWinner(OpState& s, OpKind kind, uint64_t round);
@@ -189,13 +277,24 @@ class AdaptiveDispatcher {
 
 /// RAII helper for the dynamic operators: resolves the effective (isa,
 /// scan mode) for one chunk and, on explore tickets, times the enclosed
-/// kernel call and reports it. Construct immediately before the kernel,
-/// call set_tuples with the kernel's input size, destroy right after.
+/// kernel call and reports it. Construct immediately before the kernel
+/// with the kernel's input size, destroy right after.
+///
+/// An empty input bypasses the schedule: it runs the static variant,
+/// untimed, and claims no slot. Its time would be the call's fixed
+/// overhead, which says nothing about a variant's per-tuple cost — and on
+/// clustered inputs (a value window selecting one band of the fact table)
+/// whole explore windows would otherwise land on empty chunks outside the
+/// band, leaving the downstream kinds undecided or decided on noise.
 class AdaptiveOpScope {
  public:
   AdaptiveOpScope(AdaptiveDispatcher* d, OpKind kind, Isa static_isa,
-                  ScanMode static_mode)
-      : d_(d), kind_(kind), isa_(static_isa), mode_(static_mode) {
+                  ScanMode static_mode, uint64_t tuples)
+      : d_(tuples == 0 ? nullptr : d),
+        kind_(kind),
+        isa_(static_isa),
+        mode_(static_mode),
+        tuples_(tuples) {
     if (d_ == nullptr) return;
     ticket_ = d_->Acquire(kind_);
     const AdaptiveVariant& v = d_->variant(kind_, ticket_.variant);
@@ -214,16 +313,15 @@ class AdaptiveOpScope {
 
   Isa isa() const { return isa_; }
   ScanMode scan_mode() const { return mode_; }
-  void set_tuples(uint64_t n) { tuples_ = n; }
 
  private:
   AdaptiveDispatcher* d_;
   OpKind kind_;
   Isa isa_;
   ScanMode mode_;
+  uint64_t tuples_;
   AdaptiveDispatcher::Ticket ticket_{};
   uint64_t start_ns_ = 0;
-  uint64_t tuples_ = 0;
 };
 
 }  // namespace simddb::exec

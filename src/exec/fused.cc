@@ -5,6 +5,7 @@
 
 #include "exec/fused.h"
 
+#include <algorithm>
 #include <atomic>
 
 #include "exec/adaptive.h"
@@ -79,13 +80,18 @@ FusedProbeResult RunFusedProbeAdaptive(const FusedProbeSpec& spec,
   // either is fine — and resetting on those oscillations is what
   // multiplies rounds and explore tax. The cap scales with the grid (half
   // of it) rather than honoring cfg.adaptive.exploit_chunks exactly, so
-  // the round count stays logarithmic in the grid size.
+  // the round count stays logarithmic in the grid size. A warm key (a
+  // persisted decision seeded the dispatcher) resumes at the span length
+  // earlier queries grew to: its first decision already blends their
+  // evidence, so it does not need the cold start's short spans.
   const size_t exploit_cap = std::max(
       cfg.adaptive.exploit_chunks < 1 ? size_t{1}
                                       : size_t{cfg.adaptive.exploit_chunks},
       total / 2);
-  size_t exploit_w =
-      std::min(std::max(size_t{16}, static_cast<size_t>(lanes)), exploit_cap);
+  size_t exploit_w = std::max(
+      {size_t{16}, static_cast<size_t>(lanes),
+       static_cast<size_t>(d->exploit_span(OpKind::kFusedWindow))});
+  exploit_w = std::min(exploit_w, exploit_cap);
   struct Span {
     int variant;     // explore: fixed by rotation; exploit: -1, lazy
     uint64_t round;  // round index (drives decay + rotate_for_testing)
@@ -113,6 +119,7 @@ FusedProbeResult RunFusedProbeAdaptive(const FusedProbeSpec& spec,
       ++round;
     }
   }
+  d->set_exploit_span(OpKind::kFusedWindow, exploit_w);
   // chunk -> span index, so lanes map stolen morsels in O(1); resolved[]
   // pins each exploit span to the winner the first-touching lane decided
   // (atomics live outside Span so the vector stays movable while built).

@@ -132,10 +132,9 @@ void ScanOp::Produce(size_t chunk, int lane) {
     // Adaptive dispatch switches both the ISA and the chunk representation
     // (compact vs bitmap) per chunk; downstream operators Compact whatever
     // arrives, so mixing representations inside one grid is safe.
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_);
     const size_t b = chunk * cfg_.chunk_tuples;
     const size_t sz = std::min(cfg_.chunk_tuples, n_ - b);
-    a.set_tuples(sz);
+    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_, sz);
     if (a.scan_mode() == ScanMode::kCompact) {
       const ScanVariant v = ScanVariantForIsa(a.isa());
       const size_t cap = ChunkCapacity(out.capacity());
@@ -224,10 +223,9 @@ void CompressedScanOp::Produce(size_t chunk, int lane) {
   Chunk& out = *l.out;
   {
     PhaseScope t(g_scan_ns, timed_);
-    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_);
     const size_t begin = chunk * cfg_.chunk_tuples;
     const size_t sz = std::min(cfg_.chunk_tuples, n_ - begin);
-    a.set_tuples(sz);
+    AdaptiveOpScope a(cfg_.dispatcher, OpKind::kScan, cfg_.isa, mode_, sz);
     const compress::CompressedColumn* pred_col =
         filter_on_vals_ ? vals_ : keys_;
     const int pc = filter_on_vals_ ? 1 : 0;  // predicate chunk column
@@ -415,8 +413,7 @@ void HashBuildOp::Finish() {
     for (size_t off = 0; off < n_build_; off += blk) {
       const size_t n = std::min(blk, n_build_ - off);
       AdaptiveOpScope a(cfg_.dispatcher, OpKind::kBuild, cfg_.isa,
-                        ScanMode::kCompact);
-      a.set_tuples(n);
+                        ScanMode::kCompact, n);
       table_->Build(a.isa(), mat_keys_.data() + off, mat_pays_.data() + off,
                     n);
     }
@@ -451,9 +448,8 @@ void BloomProbeOp::Push(Chunk& c, int lane) {
   {
     PhaseScope t(g_bloom_ns, timed_);
     AdaptiveOpScope a(cfg_.dispatcher, OpKind::kBloomProbe, cfg_.isa,
-                      ScanMode::kCompact);
+                      ScanMode::kCompact, c.active());
     c.Compact(a.isa());
-    a.set_tuples(c.size());
     const size_t cnt = f->Probe(a.isa(), c.col(0), c.col(1), c.size(),
                                 out.col(0), out.col(1));
     out.SetDense(cnt);
@@ -477,9 +473,8 @@ void HashJoinProbeOp::Push(Chunk& c, int lane) {
   {
     PhaseScope t(g_probe_ns, timed_);
     AdaptiveOpScope a(cfg_.dispatcher, OpKind::kJoinProbe, cfg_.isa,
-                      ScanMode::kCompact);
+                      ScanMode::kCompact, c.active());
     c.Compact(a.isa());
-    a.set_tuples(c.size());
     const LinearProbingTable* table = build_->table();
     assert(table != nullptr && "probe pipeline ran before the build broke");
     const size_t cnt = table->Probe(a.isa(), c.col(0), c.col(1), c.size(),
@@ -607,10 +602,9 @@ void GroupBySink::Open(const ExecConfig& cfg, int lanes,
 void GroupBySink::Push(Chunk& c, int lane) {
   PhaseScope t(g_groupby_ns, timed_);
   AdaptiveOpScope a(cfg_.dispatcher, OpKind::kGroupBy, cfg_.isa,
-                    ScanMode::kCompact);
+                    ScanMode::kCompact, c.active());
   assert(key_col_ < c.n_cols() && val_col_ < c.n_cols());
   c.Compact(a.isa());
-  a.set_tuples(c.size());
   partials_[static_cast<size_t>(lane)]->Accumulate(
       a.isa(), c.col(key_col_), c.col(val_col_), c.size());
   CountRows(c.size());

@@ -53,11 +53,11 @@ namespace simddb::exec {
 enum class PipelineMode { kAuto, kDynamic, kFused };
 
 /// How operator variants are chosen. kStatic runs cfg.isa and the plan's
-/// scan mode everywhere (the historical behavior); kAdaptive lets an
-/// AdaptiveDispatcher (exec/adaptive.h) re-time the supported
-/// {scalar, AVX2, AVX-512} x {compact, bitmap} variants on live chunks and
-/// switch each operator to the current winner mid-query. Results are
-/// byte-identical either way — variants only differ in speed.
+/// scan mode everywhere; kAdaptive (the default) lets an AdaptiveDispatcher
+/// (exec/adaptive.h) re-time the supported {scalar, AVX2, AVX-512} x
+/// {compact, bitmap} variants on live chunks and switch each operator to
+/// the current winner mid-query. Results are byte-identical either way —
+/// variants only differ in speed.
 enum class IsaMode { kStatic, kAdaptive };
 
 /// Explore/exploit pacing for IsaMode::kAdaptive.
@@ -79,10 +79,14 @@ struct AdaptiveParams {
 };
 
 class AdaptiveDispatcher;
+class AdaptiveState;
 
 /// Per-run execution parameters, shared by every operator of a query.
+/// The defaults serve the paper's kernels: the host's widest ISA as the
+/// anchor (clamped again at plan build by EffectiveIsa), chosen per
+/// operator by measurement. Pin `isa_mode = kStatic` to run `isa` alone.
 struct ExecConfig {
-  Isa isa = Isa::kScalar;
+  Isa isa = BestIsa();
   int threads = 1;
   /// Tuples per chunk (any value >= 1; tests sweep odd sizes).
   size_t chunk_tuples = kDefaultChunkTuples;
@@ -92,12 +96,18 @@ struct ExecConfig {
   numa::Placement placement = numa::Placement::kNodeLocal;
   uint64_t seed = 42;
   PipelineMode pipeline_mode = PipelineMode::kAuto;
-  IsaMode isa_mode = IsaMode::kStatic;
+  IsaMode isa_mode = IsaMode::kAdaptive;
   AdaptiveParams adaptive;
   /// Set by RunScanJoinAggregate while isa_mode == kAdaptive; operators
   /// consult it per chunk when non-null. Borrowed — owned by the query
   /// runner for the duration of the run.
   AdaptiveDispatcher* dispatcher = nullptr;
+  /// Adaptive decisions that outlive the query (exec/adaptive.h): when
+  /// non-null under kAdaptive, the query's dispatcher starts from this
+  /// state and publishes its own decisions back when the query ends.
+  /// nullptr: every query explores from scratch. Borrowed — the server's
+  /// QueryScheduler owns one per bound (build, probe, storage) key.
+  AdaptiveState* adaptive_state = nullptr;
 };
 
 /// The scan variant an ISA maps to in the executor (store-direct family:

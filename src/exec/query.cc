@@ -1,5 +1,7 @@
 #include "exec/query.h"
 
+#include <optional>
+
 #include "exec/adaptive.h"
 #include "exec/fused.h"
 #include "obs/metrics.h"
@@ -152,14 +154,20 @@ QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
   // the first kernel (see EffectiveIsa).
   ExecConfig run_cfg = cfg;
   run_cfg.isa = EffectiveIsa(cfg.isa);
-  AdaptiveDispatcher dispatcher(run_cfg, plan.scan_mode);
-  run_cfg.dispatcher =
-      run_cfg.isa_mode == IsaMode::kAdaptive ? &dispatcher : nullptr;
-  if (run_cfg.pipeline_mode != PipelineMode::kDynamic &&
-      FusedPlanSupported(plan)) {
-    return RunFused(plan, run_cfg);
+  std::optional<AdaptiveDispatcher> dispatcher;
+  run_cfg.dispatcher = nullptr;
+  if (run_cfg.isa_mode == IsaMode::kAdaptive) {
+    run_cfg.dispatcher = &dispatcher.emplace(run_cfg, plan.scan_mode);
   }
-  return RunDynamic(plan, run_cfg);
+  const bool fused = run_cfg.pipeline_mode != PipelineMode::kDynamic &&
+                     FusedPlanSupported(plan);
+  QueryResult res = fused ? RunFused(plan, run_cfg) : RunDynamic(plan, run_cfg);
+  // Publish only completed queries: an abort unwinds past this point, and
+  // a half-run schedule is not evidence worth keeping.
+  if (dispatcher && run_cfg.adaptive_state != nullptr) {
+    run_cfg.adaptive_state->Publish(dispatcher->Export());
+  }
+  return res;
 }
 
 }  // namespace simddb::exec

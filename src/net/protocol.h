@@ -22,8 +22,9 @@
 // inclusive uint32 ranges filtering the build keys / probe values and
 // default to the full domain. `weight` (1..65536, default 1) biases the
 // scheduler's weighted-fair morsel gate. `storage=packed` binds the
-// compressed table twins. `isa` overrides the server's default backend
-// (clamped to host capability at plan build — degrade, don't SIGILL).
+// compressed table twins. `isa` pins the backend for the query, replacing
+// the server's adaptive default (clamped to host capability at plan build
+// — degrade, don't SIGILL).
 //
 // Response grammar:
 //
@@ -31,7 +32,9 @@
 //             OK rows=<n> exec_ns=<t> queue_ns=<t> morsels=<n> shared=<0|1>
 //   TABLES -> TABLE <name> rows=<n> compressed=<0|1>     (one per table)
 //             OK tables=<n>
-//   STATS  -> STAT <name> <value>                        (one per counter)
+//   STATS  -> STAT <name> <value>                        (one per counter;
+//             STAT adaptive/<build>/<probe>/<raw|packed>/<op>_<variant> <n>
+//             per persisted adaptive winner, n = queries behind it)
 //             OK stats=<n>
 //   PING   -> PONG
 //   QUIT   -> BYE                                        (then close)

@@ -279,7 +279,12 @@ void Server::HandleLine(Conn* c, std::string_view line) {
       job.conn_id = c->id;
       job.spec = ToSpec(req.query);
       job.cfg = opts_.exec;
-      if (req.query.has_isa) job.cfg.isa = req.query.isa;
+      if (req.query.has_isa) {
+        // An explicit backend pins it: the adaptive default would
+        // otherwise treat the clause as a mere starting point.
+        job.cfg.isa = req.query.isa;
+        job.cfg.isa_mode = exec::IsaMode::kStatic;
+      }
       job.weight = req.query.weight;
       c->executing = true;
       ++c->queries;
@@ -315,6 +320,12 @@ void Server::AppendStatsResponse(std::string* out) {
   emit("parse_errors", snap.parse_errors);
   emit("sched_completed", scheduler_->queries_completed());
   emit("sched_rejected", scheduler_->queries_rejected());
+  // Which kernels each bound key is served with, metrics on or off:
+  // `adaptive/<build>/<probe>/<storage>/<op>_<variant>` with the number of
+  // queries whose decisions the key has accumulated.
+  for (const server::AdaptiveWinner& w : scheduler_->AdaptiveWinners()) {
+    emit("adaptive/" + w.key + "/" + w.variant, w.queries);
+  }
   // The whole obs registry, when metrics are on (empty map otherwise):
   // every counter and phase timer, the net_* instruments included.
   for (const auto& [name, value] : obs::SnapshotMap()) emit(name, value);

@@ -66,7 +66,8 @@ struct ServerOptions {
   /// level (the scheduler's admission gate bounds them further).
   int handler_threads = 2;
 
-  /// Default per-query ExecConfig; a QUERY's isa= clause overrides isa.
+  /// Default per-query ExecConfig (the host's best ISA, adaptive); a
+  /// QUERY's isa= clause pins that backend statically.
   exec::ExecConfig exec;
   /// Admission / shared-scan policy of the embedded QueryScheduler.
   server::SchedulerOptions scheduler;

@@ -35,6 +35,11 @@ std::string GatherKey(const QuerySpec& spec, const exec::ExecConfig& cfg) {
          std::to_string(static_cast<int>(cfg.isa));
 }
 
+std::string AdaptiveKey(const QuerySpec& spec) {
+  return spec.build_table + "/" + spec.probe_table +
+         (spec.prefer_compressed ? "/packed" : "/raw");
+}
+
 }  // namespace
 
 bool BindQuery(const Catalog& catalog, const QuerySpec& spec,
@@ -143,6 +148,30 @@ uint64_t QueryScheduler::queries_rejected() const {
   return rejected_;
 }
 
+exec::AdaptiveState* QueryScheduler::AdaptiveStateFor(const QuerySpec& spec) {
+  std::lock_guard<std::mutex> lock(adaptive_mu_);
+  std::unique_ptr<exec::AdaptiveState>& st = adaptive_[AdaptiveKey(spec)];
+  if (st == nullptr) st = std::make_unique<exec::AdaptiveState>();
+  return st.get();
+}
+
+std::vector<AdaptiveWinner> QueryScheduler::AdaptiveWinners() const {
+  std::vector<AdaptiveWinner> out;
+  std::lock_guard<std::mutex> lock(adaptive_mu_);
+  for (const auto& [key, st] : adaptive_) {
+    const exec::AdaptiveDecisions d = st->Load();
+    const uint64_t queries = st->queries();
+    for (int k = 0; k < exec::kNumOpKinds; ++k) {
+      if (!d.ops[k].valid) continue;
+      out.push_back({key,
+                     exec::AdaptiveVariantName(static_cast<exec::OpKind>(k),
+                                               d.ops[k].winner),
+                     queries});
+    }
+  }
+  return out;
+}
+
 ResultSet QueryScheduler::Run(const QuerySpec& spec,
                               const exec::ExecConfig& cfg, uint64_t weight) {
   ResultSet rs;
@@ -167,6 +196,10 @@ ResultSet QueryScheduler::Run(const QuerySpec& spec,
 
   const bool share = opts_.shared_scans && plan.s_fks != nullptr &&
                      plan.partition_fanout == 0;
+  exec::ExecConfig run_cfg = cfg;
+  if (!share && cfg.isa_mode == exec::IsaMode::kAdaptive) {
+    run_cfg.adaptive_state = AdaptiveStateFor(spec);
+  }
   const uint64_t e0 = obs::NowNs();
   try {
     TaskPool::QueryTagScope tag_scope(tag);
@@ -175,7 +208,7 @@ ResultSet QueryScheduler::Run(const QuerySpec& spec,
       rs.result = RunShared(GatherKey(spec, cfg), plan, cfg, tag, &rs.stats);
       rs.stats.shared_scan = true;
     } else {
-      rs.result = exec::RunScanJoinAggregate(plan, cfg);
+      rs.result = exec::RunScanJoinAggregate(plan, run_cfg);
     }
     rs.ok = true;
   } catch (const QueryAborted&) {

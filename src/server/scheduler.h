@@ -25,7 +25,14 @@
 //      — closed when `shared_gather_hint` members arrived or after
 //      `shared_gather_timeout_ns` — and one member (the closer) runs a
 //      single sweep feeding every member's pipeline (exec/shared_scan.h);
-//      the rest wait and receive their own byte-identical results.
+//      the rest wait and receive their own byte-identical results;
+//   6. under IsaMode::kAdaptive, seeds the query's operator-variant choice
+//      from the adaptive state of its bound key — (build table, probe
+//      table, storage) — and the query publishes its decisions back when
+//      it ends (exec/adaptive.h AdaptiveState). Storage is part of the key
+//      because a packed scan unpacks before it filters: its kernels rank
+//      differently from the raw scan's over the same table. Shared sweeps
+//      run static and neither read nor write the state.
 //
 // Aborted queries (AbortQueryTag, pool teardown) unwind with
 // TaskPool::QueryAborted at the next quantum boundary; Run converts that
@@ -40,6 +47,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/adaptive.h"
 #include "exec/query.h"
 #include "server/catalog.h"
 
@@ -112,6 +120,16 @@ struct SchedulerOptions {
   uint64_t shared_gather_timeout_ns = 2'000'000;
 };
 
+/// One persisted adaptive decision: key `<build>/<probe>/<raw|packed>`,
+/// the winning variant of one operator kind (exec::AdaptiveVariantName,
+/// e.g. "fused_avx512_compact"), and how many queries have published into
+/// the key.
+struct AdaptiveWinner {
+  std::string key;
+  std::string variant;
+  uint64_t queries = 0;
+};
+
 /// Binds a QuerySpec against the catalog. False (with *error set) when a
 /// table is unknown or a compressed representation was asked of a table
 /// that has none.
@@ -137,8 +155,16 @@ class QueryScheduler {
   uint64_t queries_completed() const;
   uint64_t queries_rejected() const;
 
+  /// Every persisted key's current winner per operator kind it has run,
+  /// ordered by key then kind (what STATS reports).
+  std::vector<AdaptiveWinner> AdaptiveWinners() const;
+
  private:
   struct Gather;
+
+  /// The key's persisted adaptive state, created on first use. Keys come
+  /// from bound specs only, so their number is bounded by the catalog.
+  exec::AdaptiveState* AdaptiveStateFor(const QuerySpec& spec);
 
   bool Admit(uint64_t* waited_ns);
   void Release();
@@ -159,6 +185,9 @@ class QueryScheduler {
 
   std::mutex gathers_mu_;
   std::map<std::string, std::shared_ptr<Gather>> gathers_;
+
+  mutable std::mutex adaptive_mu_;
+  std::map<std::string, std::unique_ptr<exec::AdaptiveState>> adaptive_;
 };
 
 }  // namespace simddb::server

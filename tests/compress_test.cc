@@ -328,6 +328,7 @@ TEST(CompressScanTest, CompressedPlanIdenticalToRaw) {
             raw.scan_mode = comp.scan_mode = mode;
             ExecConfig cfg;
             cfg.isa = isa;
+            cfg.isa_mode = exec::IsaMode::kStatic;  // per-ISA sweep
             cfg.threads = threads;
             cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
             cfg.pipeline_mode = pm;

@@ -6,9 +6,11 @@
 // schedule that provably switches the winner mid-query inside a
 // morsel-parallel grid. Also covered: the explore/exploit schedule itself,
 // the adaptive observability counters, static mode keeping them at zero,
-// and the ISA capability degrade path (SetCpuCapsForTesting) that turns an
+// the ISA capability degrade path (SetCpuCapsForTesting) that turns an
 // unsupported Isa::kAvx512 request into the best supported backend instead
-// of a SIGILL.
+// of a SIGILL, and decisions persisted across queries (AdaptiveState):
+// seed/publish round trips, warm queries exploring less, and results that
+// stay identical to the std::map reference throughout.
 
 #include <gtest/gtest.h>
 
@@ -16,6 +18,7 @@
 #include <cstring>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/isa.h"
@@ -30,7 +33,9 @@
 namespace simddb {
 namespace {
 
+using exec::AdaptiveDecisions;
 using exec::AdaptiveDispatcher;
+using exec::AdaptiveState;
 using exec::ExecConfig;
 using exec::IsaMode;
 using exec::OpKind;
@@ -274,6 +279,7 @@ TEST(ExecAdaptiveTest, ByteIdentityAcrossMatrix) {
               for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
                 ExecConfig static_cfg;
                 static_cfg.isa = anchor;
+                static_cfg.isa_mode = IsaMode::kStatic;
                 static_cfg.threads = threads;
                 static_cfg.chunk_tuples = chunk;
                 static_cfg.pipeline_mode = pmode;
@@ -357,6 +363,7 @@ TEST(ExecAdaptiveTest, StaticModeKeepsAdaptiveCountersZero) {
   for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
     ScopedMetrics metrics;
     ExecConfig cfg;
+    cfg.isa_mode = IsaMode::kStatic;  // the default is adaptive
     cfg.pipeline_mode = pmode;
     const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
     ASSERT_FALSE(got.group_keys.empty());
@@ -364,6 +371,113 @@ TEST(ExecAdaptiveTest, StaticModeKeepsAdaptiveCountersZero) {
     EXPECT_EQ(Metric("explore_chunks"), 0u);
     EXPECT_EQ(Metric("isa_degraded"), 0u);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Decisions persisted across queries (AdaptiveState)
+// ---------------------------------------------------------------------------
+
+/// Runs `plan` `n` times through `state` (nullptr: per-query adaptivity)
+/// and returns each query's explore_chunks, checking every result against
+/// the map reference.
+std::vector<uint64_t> ExploreChunksPerQuery(const QueryData& d,
+                                            const ScanJoinAggregatePlan& plan,
+                                            ExecConfig cfg,
+                                            AdaptiveState* state, int n) {
+  const auto want = MapReference(d, plan);
+  cfg.adaptive_state = state;
+  std::vector<uint64_t> out;
+  for (int q = 0; q < n; ++q) {
+    const uint64_t before = Metric("explore_chunks");
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ExpectMatchesReference(got, want, "query " + std::to_string(q));
+    out.push_back(Metric("explore_chunks") - before);
+  }
+  return out;
+}
+
+TEST(ExecAdaptiveStateTest, PublishThenSeedRoundTrip) {
+  ScopedMetrics metrics;
+  QueryData d(4096, 262144);
+  const ScanJoinAggregatePlan plan = d.Plan();
+  AdaptiveState state;
+  ExecConfig cfg;
+  ExploreChunksPerQuery(d, plan, cfg, &state, 1);
+  EXPECT_EQ(state.queries(), 1u);
+
+  const AdaptiveDecisions saved = state.Load();
+  const auto& fused = saved.ops[static_cast<int>(OpKind::kFusedWindow)];
+  ASSERT_TRUE(fused.valid);
+  // The cold schedule grew its exploit span past the 16-chunk start.
+  EXPECT_GT(fused.exploit_span, 16u);
+  // The fused plan never ran the dynamic probe-side kinds.
+  EXPECT_FALSE(saved.ops[static_cast<int>(OpKind::kJoinProbe)].valid);
+
+  cfg.adaptive_state = &state;
+  cfg.isa = Isa::kScalar;  // a different anchor still finds the winner
+  const AdaptiveDispatcher seeded(cfg, ScanMode::kCompact);
+  EXPECT_TRUE(seeded.warm(OpKind::kFusedWindow));
+  EXPECT_FALSE(seeded.warm(OpKind::kJoinProbe));
+  EXPECT_EQ(seeded.current(OpKind::kFusedWindow).isa, fused.winner.isa);
+  EXPECT_EQ(seeded.exploit_span(OpKind::kFusedWindow), fused.exploit_span);
+
+  // Fused variants carry the plan's scan mode: a bitmap plan cannot run
+  // the compact winner, so its fused kind starts cold.
+  const AdaptiveDispatcher other_mode(cfg, ScanMode::kBitmap);
+  EXPECT_FALSE(other_mode.warm(OpKind::kFusedWindow));
+}
+
+TEST(ExecAdaptiveStateTest, WarmQueriesExploreLessAndStayExact) {
+  ScopedMetrics metrics;
+  QueryData d(4096, 262144);
+  for (PipelineMode pmode : {PipelineMode::kFused, PipelineMode::kDynamic}) {
+    for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+      ScanJoinAggregatePlan plan = d.Plan();
+      plan.scan_mode = mode;
+      ExecConfig cfg;
+      cfg.pipeline_mode = pmode;
+      AdaptiveState state;
+      const std::vector<uint64_t> warm =
+          ExploreChunksPerQuery(d, plan, cfg, &state, 4);
+      const std::string ctx =
+          std::string(pmode == PipelineMode::kFused ? "fused" : "dynamic") +
+          (mode == ScanMode::kBitmap ? " bitmap" : " compact");
+      ASSERT_GT(warm[0], 0u) << ctx;
+      for (size_t q = 1; q < warm.size(); ++q) {
+        EXPECT_LT(warm[q], warm[0]) << ctx << " query " << q;
+      }
+      // Without a state every query explores like the first.
+      const std::vector<uint64_t> cold =
+          ExploreChunksPerQuery(d, plan, cfg, nullptr, 2);
+      EXPECT_EQ(cold[0], warm[0]) << ctx;
+      EXPECT_EQ(cold[1], cold[0]) << ctx;
+    }
+  }
+}
+
+TEST(ExecAdaptiveStateTest, ConcurrentPublishersStayExact) {
+  // Queries on one state seed and publish concurrently at threads {1, 8}:
+  // no shared hot-path atomics, and every result stays exact.
+  QueryData d(2048, 65536);
+  const ScanJoinAggregatePlan plan = d.Plan();
+  const auto want = MapReference(d, plan);
+  AdaptiveState state;
+  std::vector<std::thread> workers;
+  for (int i = 0; i < 8; ++i) {
+    workers.emplace_back([&, i] {
+      ExecConfig cfg;
+      cfg.threads = i % 2 == 0 ? 1 : 8;
+      cfg.pipeline_mode = i % 4 < 2 ? PipelineMode::kAuto
+                                    : PipelineMode::kDynamic;
+      cfg.adaptive_state = &state;
+      for (int q = 0; q < 3; ++q) {
+        ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
+                               "worker " + std::to_string(i));
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(state.queries(), 24u);
 }
 
 // ---------------------------------------------------------------------------
@@ -415,6 +529,18 @@ TEST(ExecAdaptiveIsaDegradeTest, Avx512DegradesToAvx2WhenAvailable) {
             // because the test only checks the planner's answer.
             Isa::kAvx2);
   EXPECT_EQ(EffectiveIsa(Isa::kAvx2), Isa::kAvx2);
+}
+
+TEST(ExecAdaptiveIsaDegradeTest, DefaultConfigFollowsHostCaps) {
+  static const CpuInfo kNoVector{};
+  ScopedCpuCaps caps(&kNoVector);
+  const ExecConfig cfg;
+  EXPECT_EQ(cfg.isa, Isa::kScalar);
+  EXPECT_EQ(cfg.isa_mode, IsaMode::kAdaptive);
+  QueryData d(512, 20'000);
+  const ScanJoinAggregatePlan plan = d.Plan();
+  ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg),
+                         MapReference(d, plan), "default on a scalar host");
 }
 
 TEST(ExecAdaptiveIsaDegradeTest, AdaptiveVariantListHonorsCaps) {

@@ -43,6 +43,7 @@ using exec::Chunk;
 using exec::ChunkCapacity;
 using exec::ChunkBitmapWords;
 using exec::ExecConfig;
+using exec::IsaMode;
 using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
@@ -379,6 +380,7 @@ TEST(ExecQueryTest, MatchesHandComposedAndReferenceAcrossMatrix) {
               plan.scan_mode = mode;
               ExecConfig cfg;
               cfg.isa = isa;
+              cfg.isa_mode = IsaMode::kStatic;  // per-ISA sweep
               cfg.threads = threads;
               cfg.chunk_tuples = chunk;
               const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
@@ -474,6 +476,7 @@ TEST(ExecQueryTest, CompressedStorageMatchesRawAcrossMatrix) {
               raw.scan_mode = comp.scan_mode = mode;
               ExecConfig cfg;
               cfg.isa = isa;
+              cfg.isa_mode = IsaMode::kStatic;  // per-ISA sweep
               cfg.threads = threads;
               cfg.chunk_tuples = chunk;
               const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
@@ -572,6 +575,7 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
             plan.scan_mode = mode;
             ExecConfig cfg;
             cfg.isa = isa;
+            cfg.isa_mode = IsaMode::kStatic;  // per-ISA sweep
             cfg.threads = threads;
             cfg.chunk_tuples = chunk;
             cfg.pipeline_mode = PipelineMode::kDynamic;

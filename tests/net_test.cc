@@ -658,6 +658,54 @@ TEST(NetServer, WireCountersInObsRegistry) {
   EXPECT_GT(metric("net_bytes_out"), 0u);
 }
 
+TEST(NetServer, IsaClausePinsTheBackendAndStatsReportWinners) {
+  obs::EnableMetrics(true);
+  obs::MetricsRegistry::Get().ResetAll();
+  NetData data(2000, 30000, /*compress=*/true);
+  ServerOptions opts;  // default exec config: best ISA, adaptive
+  opts.unix_path = UniqueSocketPath();
+  Server server(&data.catalog, opts);
+  std::string error;
+  ASSERT_TRUE(server.Start(&error)) << error;
+  Client client;
+  ASSERT_TRUE(client.ConnectUnix(opts.unix_path, &error)) << error;
+
+  // isa=scalar pins the scalar kernels: no vector variant may run, not
+  // even as an explore sample, and nothing is persisted for the key.
+  ASSERT_TRUE(client.Query("QUERY build=R probe=S isa=scalar").ok);
+  ASSERT_TRUE(
+      client.Query("QUERY build=R probe=S storage=packed isa=scalar").ok);
+  std::map<std::string, uint64_t> snap = obs::SnapshotMap();
+  for (const auto& [name, value] : snap) {
+    if (name.rfind("chosen_", 0) != 0) continue;
+    if (name.find("_avx2") == std::string::npos &&
+        name.find("_avx512") == std::string::npos) {
+      continue;
+    }
+    EXPECT_EQ(value, 0u) << name;
+  }
+  EXPECT_EQ(snap["explore_chunks"], 0u);
+
+  // Without the clause the same query adapts, and STATS names the winner
+  // of every operator kind it ran on the (R, S, raw) key.
+  ASSERT_TRUE(client.Query("QUERY build=R probe=S").ok);
+  snap = obs::SnapshotMap();
+  EXPECT_GT(snap["explore_chunks"], 0u);
+  std::vector<std::pair<std::string, uint64_t>> stats;
+  ASSERT_TRUE(client.Stats(&stats));
+  size_t winners = 0;
+  for (const auto& [name, value] : stats) {
+    if (name.rfind("adaptive/", 0) != 0) continue;
+    ++winners;
+    EXPECT_EQ(name.rfind("adaptive/R/S/raw/", 0), 0u) << name;
+    EXPECT_EQ(value, 1u) << name;
+  }
+  EXPECT_GE(winners, 1u);
+  client.Quit();
+  server.Stop();
+  obs::EnableMetrics(false);
+}
+
 TEST(NetServer, MalformedBytesOnTheWireNeverKillTheServer) {
   NetData data(300, 3000);
   ServerOptions opts;

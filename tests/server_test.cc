@@ -6,13 +6,19 @@
 // (no-starvation), the admission gate bounds in-flight queries under both
 // policies, shared-scan groups feed N consumers from one sweep with
 // byte-identical per-member results and fewer pushed chunks than N
-// independent scans, and per-query metric sinks attribute work with no
-// cross-query bleed.
+// independent scans, per-query metric sinks attribute work with no
+// cross-query bleed, and the adaptive decisions the scheduler persists per
+// bound key — under the default (best-ISA, adaptive) config — leave
+// results identical to a std::map reference, shorten later queries'
+// explore work, stay separate per key, and never pick a backend the host
+// lacks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <map>
 #include <string>
 #include <thread>
 #include <vector>
@@ -24,16 +30,19 @@
 #include "server/scheduler.h"
 #include "server/session.h"
 #include "util/aligned_buffer.h"
+#include "util/cpu_info.h"
 #include "util/data_gen.h"
 
 namespace simddb {
 namespace {
 
 using exec::ExecConfig;
+using exec::IsaMode;
 using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
 using exec::ScanMode;
+using server::AdaptiveWinner;
 using server::AdmissionPolicy;
 using server::Catalog;
 using server::QueryScheduler;
@@ -496,6 +505,247 @@ TEST(ServerSchedulerTest, PerQueryMetricsDoNotBleedAcrossConcurrentQueries) {
   EXPECT_GT(big_pushed, small_pushed);
   // Both sinks together never exceed what the registry recorded globally.
   EXPECT_LE(big_pushed + small_pushed, Metric("chunks_pushed"));
+}
+
+// ---------------------------------------------------------------------------
+// Adaptive decisions persisted per bound key
+// ---------------------------------------------------------------------------
+
+/// Scalar std::map reference over the raw columns, independent of every
+/// library kernel: the canonical group rows the spec must return.
+QueryResult MapReference(const ServerData& d, const QuerySpec& spec) {
+  std::map<uint32_t, uint32_t> r;
+  for (size_t i = 0; i < d.n_r; ++i) {
+    if (d.r_keys[i] >= spec.r_lo && d.r_keys[i] <= spec.r_hi) {
+      r[d.r_keys[i]] = d.r_attrs[i];
+    }
+  }
+  struct Row {
+    uint64_t sum = 0;
+    uint32_t count = 0, min = 0xFFFFFFFFu, max = 0;
+  };
+  std::map<uint32_t, Row> groups;
+  for (size_t i = 0; i < d.n_s; ++i) {
+    if (d.s_vals[i] < spec.s_lo || d.s_vals[i] > spec.s_hi) continue;
+    auto it = r.find(d.s_fks[i]);
+    if (it == r.end()) continue;
+    Row& g = groups[it->second];
+    g.sum += d.s_vals[i];
+    g.count += 1;
+    g.min = std::min(g.min, d.s_vals[i]);
+    g.max = std::max(g.max, d.s_vals[i]);
+  }
+  QueryResult out;
+  for (const auto& [key, g] : groups) {
+    out.group_keys.push_back(key);
+    out.sums.push_back(g.sum);
+    out.counts.push_back(g.count);
+    out.mins.push_back(g.min);
+    out.maxs.push_back(g.max);
+  }
+  return out;
+}
+
+void ExpectSameRows(const QueryResult& got, const QueryResult& want,
+                    const std::string& ctx) {
+  ASSERT_EQ(got.group_keys, want.group_keys) << ctx;
+  ASSERT_EQ(got.sums, want.sums) << ctx;
+  ASSERT_EQ(got.counts, want.counts) << ctx;
+  ASSERT_EQ(got.mins, want.mins) << ctx;
+  ASSERT_EQ(got.maxs, want.maxs) << ctx;
+}
+
+/// explore_chunks of each of `n` sequential runs of `spec` through `sched`,
+/// read from the queries' own metric sinks (metrics must be on).
+std::vector<uint64_t> ExploreChunksPerQuery(const ServerData& d,
+                                            QueryScheduler* sched,
+                                            const QuerySpec& spec,
+                                            const ExecConfig& cfg, int n) {
+  std::vector<uint64_t> out;
+  QuerySession session(&d.catalog, sched);
+  for (int q = 0; q < n; ++q) {
+    ResultSet rs = session.Execute(spec, cfg);
+    EXPECT_TRUE(rs.ok) << rs.error;
+    ExpectSameRows(rs.result, MapReference(d, spec),
+                   "query " + std::to_string(q));
+    out.push_back(rs.stats.metrics["explore_chunks"]);
+  }
+  return out;
+}
+
+TEST(ServerAdaptiveTest, DefaultConfigIsBestIsaAdaptive) {
+  const ExecConfig cfg;
+  EXPECT_EQ(cfg.isa, BestIsa());
+  EXPECT_EQ(cfg.isa_mode, IsaMode::kAdaptive);
+  EXPECT_EQ(cfg.adaptive_state, nullptr);
+}
+
+TEST(ServerAdaptiveTest, DefaultConfigConcurrentSessionsMatchMapReference) {
+  ServerData d(4096, 65536, /*sequential_vals=*/false, /*compress=*/true);
+  for (bool packed : {false, true}) {
+    for (int threads : {1, 8}) {
+      for (int clients : {8, 32}) {
+        ExecConfig cfg;  // the serving default: best ISA, adaptive
+        cfg.threads = threads;
+        QueryScheduler sched(&d.catalog);
+        std::vector<std::vector<ResultSet>> got(clients);
+        std::vector<std::thread> workers;
+        for (int i = 0; i < clients; ++i) {
+          workers.emplace_back([&, i] {
+            QuerySession session(&d.catalog, &sched);
+            QuerySpec spec = SpecFor(i, d.n_r);
+            spec.prefer_compressed = packed;
+            // Two queries per session: the second is seeded from whatever
+            // the key's state holds by then, concurrently with publishers.
+            for (int q = 0; q < 2; ++q) {
+              got[i].push_back(session.Execute(spec, cfg));
+            }
+          });
+        }
+        for (auto& w : workers) w.join();
+        for (int i = 0; i < clients; ++i) {
+          const std::string ctx =
+              std::string(packed ? "packed" : "raw") +
+              " threads=" + std::to_string(threads) +
+              " clients=" + std::to_string(clients) +
+              " q=" + std::to_string(i);
+          const QueryResult want = MapReference(d, SpecFor(i, d.n_r));
+          for (const ResultSet& rs : got[i]) {
+            ASSERT_TRUE(rs.ok) << ctx << ": " << rs.error;
+            ExpectSameRows(rs.result, want, ctx);
+          }
+        }
+        // Every session bound the one (R, S, storage) key.
+        for (const AdaptiveWinner& w : sched.AdaptiveWinners()) {
+          EXPECT_EQ(w.key, packed ? "R/S/packed" : "R/S/raw");
+          EXPECT_EQ(w.queries, static_cast<uint64_t>(2 * clients));
+        }
+        EXPECT_FALSE(sched.AdaptiveWinners().empty());
+      }
+    }
+  }
+}
+
+TEST(ServerAdaptiveTest, WarmKeyExploresLessThanItsFirstQuery) {
+  ScopedMetrics metrics;
+  // 256 probe chunks: a cold fused schedule needs three rounds to grow its
+  // exploit span; a warm one resumes at the grown span.
+  ServerData d(4096, 262144, /*sequential_vals=*/false, /*compress=*/true);
+  for (PipelineMode pmode : {PipelineMode::kAuto, PipelineMode::kDynamic}) {
+    for (bool packed : {false, true}) {
+      const std::string ctx =
+          std::string(pmode == PipelineMode::kAuto ? "fused " : "dynamic ") +
+          (packed ? "packed" : "raw");
+      ExecConfig cfg;
+      cfg.pipeline_mode = pmode;
+      QueryScheduler sched(&d.catalog);
+      QuerySpec spec = SpecFor(0, d.n_r);
+      spec.prefer_compressed = packed;
+      const std::vector<uint64_t> explored =
+          ExploreChunksPerQuery(d, &sched, spec, cfg, 5);
+      ASSERT_GT(explored[0], 0u) << ctx;
+      for (size_t q = 1; q < explored.size(); ++q) {
+        EXPECT_LT(explored[q], explored[0]) << ctx << " query " << q;
+      }
+    }
+  }
+}
+
+TEST(ServerAdaptiveTest, KeysKeepSeparateState) {
+  ScopedMetrics metrics;
+  ServerData d(4096, 262144, /*sequential_vals=*/false, /*compress=*/true);
+  ASSERT_NE(d.catalog.RegisterTable("S2", d.s_fks.data(), d.s_vals.data(),
+                                    d.n_s),
+            nullptr);
+  const ExecConfig cfg;
+  QuerySpec raw = SpecFor(0, d.n_r);
+  QuerySpec packed = raw;
+  packed.prefer_compressed = true;
+  QuerySpec other = raw;
+  other.probe_table = "S2";
+
+  // Cold baselines: each key's first query on a fresh scheduler.
+  auto cold = [&](const QuerySpec& spec) {
+    QueryScheduler fresh(&d.catalog);
+    return ExploreChunksPerQuery(d, &fresh, spec, cfg, 1)[0];
+  };
+  const uint64_t cold_packed = cold(packed);
+  const uint64_t cold_other = cold(other);
+
+  // Warm one key, then touch the others: neither inherits its state, so
+  // each first query explores exactly like a cold key (same grid, same
+  // variants, threads = 1: the schedule is deterministic).
+  QueryScheduler sched(&d.catalog);
+  ExploreChunksPerQuery(d, &sched, raw, cfg, 4);
+  for (const AdaptiveWinner& w : sched.AdaptiveWinners()) {
+    EXPECT_EQ(w.key, "R/S/raw");
+  }
+  EXPECT_EQ(ExploreChunksPerQuery(d, &sched, packed, cfg, 1)[0], cold_packed);
+  EXPECT_EQ(ExploreChunksPerQuery(d, &sched, other, cfg, 1)[0], cold_other);
+
+  std::map<std::string, uint64_t> queries_by_key;
+  for (const AdaptiveWinner& w : sched.AdaptiveWinners()) {
+    queries_by_key[w.key] = w.queries;
+  }
+  EXPECT_EQ(queries_by_key,
+            (std::map<std::string, uint64_t>{
+                {"R/S/raw", 4}, {"R/S/packed", 1}, {"R/S2/raw", 1}}));
+}
+
+TEST(ServerAdaptiveTest, PinnedStaticQueriesLeaveNoState) {
+  ServerData d(2048, 16384);
+  QueryScheduler sched(&d.catalog);
+  QuerySession session(&d.catalog, &sched);
+  ExecConfig cfg;
+  cfg.isa = Isa::kScalar;
+  cfg.isa_mode = IsaMode::kStatic;
+  const QuerySpec spec = SpecFor(0, d.n_r);
+  ResultSet rs = session.Execute(spec, cfg);
+  ASSERT_TRUE(rs.ok) << rs.error;
+  ExpectSameRows(rs.result, MapReference(d, spec), "static scalar");
+  EXPECT_TRUE(sched.AdaptiveWinners().empty());
+}
+
+struct ScopedCpuCaps {
+  explicit ScopedCpuCaps(const CpuInfo* caps) { SetCpuCapsForTesting(caps); }
+  ~ScopedCpuCaps() { SetCpuCapsForTesting(nullptr); }
+};
+
+TEST(ServerAdaptiveTest, HostWithoutAvx512StillServes) {
+  ServerData d(4096, 65536, /*sequential_vals=*/false, /*compress=*/true);
+  // Built before the override: on an AVX-512 host this config anchors on
+  // AVX-512, which EffectiveIsa must clamp at plan build.
+  const ExecConfig built_on_host;
+  CpuInfo caps{};
+  caps.avx2 = IsaSupported(Isa::kAvx2);  // never claim what the host lacks
+  ScopedCpuCaps override(&caps);
+  ASSERT_FALSE(IsaSupported(Isa::kAvx512));
+  const ExecConfig built_here;
+  EXPECT_NE(built_here.isa, Isa::kAvx512);
+
+  for (const ExecConfig& cfg : {built_on_host, built_here}) {
+    QueryScheduler sched(&d.catalog);
+    for (bool packed : {false, true}) {
+      for (PipelineMode pmode : {PipelineMode::kAuto, PipelineMode::kDynamic}) {
+        ExecConfig run = cfg;
+        run.pipeline_mode = pmode;
+        QuerySpec spec = SpecFor(1, d.n_r);
+        spec.prefer_compressed = packed;
+        QuerySession session(&d.catalog, &sched);
+        for (int q = 0; q < 3; ++q) {
+          ResultSet rs = session.Execute(spec, run);
+          ASSERT_TRUE(rs.ok) << rs.error;
+          ExpectSameRows(rs.result, MapReference(d, spec),
+                         packed ? "packed" : "raw");
+        }
+      }
+    }
+    ASSERT_FALSE(sched.AdaptiveWinners().empty());
+    for (const AdaptiveWinner& w : sched.AdaptiveWinners()) {
+      EXPECT_EQ(w.variant.find("avx512"), std::string::npos)
+          << w.key << " " << w.variant;
+    }
+  }
 }
 
 }  // namespace
