@@ -1,33 +1,23 @@
-// Extension benchmark: end-to-end composed query through the push-based
-// executor (src/exec/). The plan is TPC-H Q3 shaped — filter a 128K-row
-// dimension R on its key range, hash-build, filter a 2M-row fact S on a
-// value predicate, bloom-prefilter the foreign keys, probe, and group the
-// join output by R's attribute with SUM/COUNT/MIN/MAX — the same pipeline
-// every operator bench measures in isolation, now paying the real chunk
-// hand-off, conversion, and breaker costs between them.
+// Extension benchmark: end-to-end composed query through the fused engine
+// (src/exec/). The plan is TPC-H Q3 shaped — filter a 128K-row dimension R
+// on its key range, hash-build, filter a 2M-row fact S on a value
+// predicate, bloom-prefilter the foreign keys, probe, and group the join
+// output by R's attribute with SUM/COUNT/MIN/MAX — the same pipeline every
+// operator bench measures in isolation, now paying the real batch
+// hand-off and breaker costs between them.
 //
 // Sweep: isa {scalar, avx2, avx512} x S selectivity {ramp, 1%, 10%, 50%} x
-// threads {1, 8} x executor mode. Mode is the dispatch-tax axis:
+// threads {1, 8} x mode. The mode argument keeps the values earlier sweeps
+// registered, so committed rows and gate regexes still match:
 //
-//   0  dynamic   the virtual-Push Operator chain (PipelineMode::kDynamic);
-//   1  fused     the template-fused pipeline (exec/fused.h). Each timed
-//                fused iteration is paired with an untimed dynamic run of
-//                the same plan (inside PauseTiming). The paired run's
-//                registry deltas are excluded from the row's gated counters
-//                (AccumulateExcludedSince) and its whole-query timer is
-//                re-exported as `paired_dynamic_ns`, so the fused/dynamic
-//                ratio gate needs no cross-row lookup and fused rows report
-//                fused-only counters (exec_dynamic_ns stays 0);
-//   2  hand      the serial hand-composed kernel sequence — no executor at
-//                all, the lower bound the fused path chases. Registered at
-//                threads = 1 only (the sequence has no parallel driver);
-//   3  adaptive        the dynamic chain under IsaMode::kAdaptive — the
-//                      dispatcher re-times {scalar, AVX2, AVX-512} x
-//                      {compact, bitmap} on live chunks and switches
-//                      mid-query (isa=adaptive in the label);
-//   4  adaptive_fused  the fused path under IsaMode::kAdaptive — explore/
-//                      exploit windows routed across the per-ISA
-//                      FusedPipeline instantiations.
+//   1  fused           the fused engine at one static ISA;
+//   2  hand            the serial hand-composed kernel sequence — no
+//                      executor at all, the lower bound the engine chases.
+//                      Registered at threads = 1 only (the sequence runs
+//                      serially);
+//   4  adaptive_fused  the engine under IsaMode::kAdaptive — explore/
+//                      exploit spans routed across the per-ISA pipeline
+//                      instantiations (isa=adaptive in the label).
 //
 // Selectivity 0 is the phase-changing input: S values ramp linearly with
 // row position, so under the fixed predicate the per-chunk qualifier
@@ -36,14 +26,11 @@
 // `adaptive_switches >= 1` on.
 //
 // Under --metrics (or the metrics-forced CI build) each row carries the
-// executor's observability instruments — chunks_pushed, pipelines_fused /
-// pipelines_dynamic, the phase timers (exec_scan_ns, exec_bloom_ns,
-// exec_build_ns, exec_probe_ns, exec_partition_ns, exec_groupby_ns,
-// exec_fused_ns, exec_dynamic_ns), and the adaptive instruments
+// engine's observability instruments — chunks_pushed, pipelines_fused, the
+// whole-query exec_fused_ns timer, and the adaptive instruments
 // (adaptive_switches, explore_chunks, chosen_* histogram) — which
-// check_bench_ranges.py gates structurally (dynamic rows), as the
-// fused/paired-dynamic ratio (fused rows), and as the adaptive-vs-static
-// cross-row comparison (adaptive rows).
+// check_bench_ranges.py gates structurally (static rows) and as the
+// adaptive-vs-best-static cross-row comparison (adaptive rows).
 
 #include <algorithm>
 #include <numeric>
@@ -54,7 +41,6 @@
 #include "bench/bench_common.h"
 #include "bloom/bloom_filter.h"
 #include "compress/column.h"
-#include "exec/chunk.h"
 #include "exec/query.h"
 #include "hash/linear_probing.h"
 #include "scan/selection_scan.h"
@@ -68,11 +54,9 @@ constexpr size_t kSTuples = size_t{2} << 20;    // fact: 2M rows
 constexpr uint32_t kValMax = 999'999;
 
 enum ExecMode : int {
-  kModeDynamic = 0,
   kModeFused = 1,
   kModeHand = 2,
-  kModeAdaptive = 3,       // dynamic chain, IsaMode::kAdaptive
-  kModeAdaptiveFused = 4,  // fused windows, IsaMode::kAdaptive
+  kModeAdaptiveFused = 4,  // IsaMode::kAdaptive
 };
 
 /// Selectivity axis sentinel: 0 selects the phase-changing ramp input.
@@ -167,20 +151,16 @@ void BM_ExecQuery(benchmark::State& state) {
   plan.bloom_bits_per_key = 10;
   plan.max_groups_hint = 2048;
 
-  const bool adaptive = mode == kModeAdaptive || mode == kModeAdaptiveFused;
+  const bool adaptive = mode == kModeAdaptiveFused;
   exec::ExecConfig cfg;
   // Adaptive rows anchor cfg.isa at the widest supported backend (variant 0
   // of every schedule = the static choice); the dispatcher re-times the
   // rest on live chunks.
   cfg.isa = adaptive ? BestIsa() : isa;
   cfg.threads = threads;
-  cfg.pipeline_mode = mode == kModeFused || mode == kModeAdaptiveFused
-                          ? exec::PipelineMode::kFused
-                          : exec::PipelineMode::kDynamic;
   cfg.isa_mode = adaptive ? exec::IsaMode::kAdaptive : exec::IsaMode::kStatic;
 
   size_t groups = 0;
-  uint64_t paired_dynamic_ns = 0;
   for (auto _ : state) {
     if (mode == kModeHand) {
       groups = HandComposedQ3(plan, isa);
@@ -189,34 +169,12 @@ void BM_ExecQuery(benchmark::State& state) {
     exec::QueryResult res = exec::RunScanJoinAggregate(plan, cfg);
     groups = res.group_keys.size();
     benchmark::DoNotOptimize(res.sums.data());
-    if (mode == kModeFused) {
-      // Paired untimed dynamic run of the same plan. Its registry deltas
-      // are excluded from this row's gated counters (fused rows must
-      // report fused-only counters); the whole-query timer it produces is
-      // re-exported under `paired_dynamic_ns` for the ratio gate.
-      state.PauseTiming();
-      const auto before = MetricsSnapshotNow();
-      exec::ExecConfig dyn_cfg = cfg;
-      dyn_cfg.pipeline_mode = exec::PipelineMode::kDynamic;
-      exec::QueryResult dyn = exec::RunScanJoinAggregate(plan, dyn_cfg);
-      benchmark::DoNotOptimize(dyn.sums.data());
-      const auto excluded = AccumulateExcludedSince(before);
-      const auto it = excluded.find("exec_dynamic_ns");
-      if (it != excluded.end()) paired_dynamic_ns += it->second;
-      state.ResumeTiming();
-    }
   }
   // Throughput over the fact table: the fact scan dominates the input.
   SetTuplesPerSecond(state, static_cast<double>(kSTuples));
-  if (mode == kModeFused && obs::MetricsEnabled()) {
-    state.counters["paired_dynamic_ns"] =
-        benchmark::Counter(static_cast<double>(paired_dynamic_ns));
-  }
-  const char* variant = mode == kModeHand            ? "query_q3_hand"
-                        : mode == kModeFused         ? "query_q3_fused"
-                        : mode == kModeAdaptive      ? "query_q3_adaptive"
-                        : mode == kModeAdaptiveFused ? "query_q3_adaptive_fused"
-                                                     : "query_q3_dynamic";
+  const char* variant = mode == kModeHand    ? "query_q3_hand"
+                        : mode == kModeFused ? "query_q3_fused"
+                                             : "query_q3_adaptive_fused";
   state.SetLabel(std::string(variant) +
                  " isa=" + (adaptive ? "adaptive" : IsaName(isa)) +
                  " sel=" + std::to_string(sel_pct) +
@@ -237,22 +195,22 @@ void BM_ExecQuery(benchmark::State& state) {
 // adaptive-vs-best-static ratios; run order is the controllable half of
 // that noise.
 BENCHMARK(BM_ExecQuery)
-    ->ArgsProduct({{0, 1, 2}, {0}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {0}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {0}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {0}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {1}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {1}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {1}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {1}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {10}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {10}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {10}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {10}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {50}, {1}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {50}, {1}, {kModeAdaptive, kModeAdaptiveFused}})
-    ->ArgsProduct({{0, 1, 2}, {50}, {8}, {kModeDynamic, kModeFused}})
-    ->ArgsProduct({{0}, {50}, {8}, {kModeAdaptive, kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {0}, {1}, {kModeFused}})
+    ->ArgsProduct({{0}, {0}, {1}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {0}, {8}, {kModeFused}})
+    ->ArgsProduct({{0}, {0}, {8}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {1}, {1}, {kModeFused}})
+    ->ArgsProduct({{0}, {1}, {1}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {1}, {8}, {kModeFused}})
+    ->ArgsProduct({{0}, {1}, {8}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {10}, {1}, {kModeFused}})
+    ->ArgsProduct({{0}, {10}, {1}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {10}, {8}, {kModeFused}})
+    ->ArgsProduct({{0}, {10}, {8}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {50}, {1}, {kModeFused}})
+    ->ArgsProduct({{0}, {50}, {1}, {kModeAdaptiveFused}})
+    ->ArgsProduct({{0, 1, 2}, {50}, {8}, {kModeFused}})
+    ->ArgsProduct({{0}, {50}, {8}, {kModeAdaptiveFused}})
     ->ArgsProduct({{0, 1, 2}, {1, 10, 50}, {1}, {kModeHand}})
     // 40 fixed iterations: on this shared host the ambient load arrives in
     // bursts comparable to a 10-iteration window, so the cross-row ratio
@@ -264,8 +222,8 @@ BENCHMARK(BM_ExecQuery)
 
 // ---------------------------------------------------------------------------
 // Compressed storage axis: the same Q3 plan over CompressColumn'd S base
-// tables (scan-over-compressed, src/compress/) vs the raw columns, on the
-// dynamic executor. Args {isa, sel code, threads, storage 0=raw/1=packed}.
+// tables (scan-over-compressed, src/compress/) vs the raw columns. Args
+// {isa, sel code, threads, storage 0=raw/1=packed}.
 //
 // Sel codes reuse the BM_ExecQuery meanings (0 = ramp, 1 = 1% uniform) and
 // add 77 = block-clustered: every 1024-row block of S draws both columns
@@ -389,7 +347,6 @@ void BM_ExecQueryCompressed(benchmark::State& state) {
   cfg.isa = isa;
   cfg.isa_mode = exec::IsaMode::kStatic;  // each row measures one ISA
   cfg.threads = threads;
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
 
   size_t groups = 0;
   for (auto _ : state) {

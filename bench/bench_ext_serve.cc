@@ -19,8 +19,8 @@
 //
 // With shared scans off every query runs its own full sweep of S; with them
 // on the scheduler gathers the wave (shared_gather_hint = clients) and one
-// member sweeps S once for the whole group, each member's skip-empty chain
-// consuming only its window's chunk band. The fact table's value column is
+// member sweeps S once for the whole group, every member's pipeline
+// running on each chunk of the one grid. The fact table's value column is
 // sequential, so the per-client windows are contiguous disjoint chunk bands
 // — the clustered shape table sharing exists for.
 //
@@ -36,9 +36,9 @@
 //
 // The reported Gtps counts logical tuples served (clients x |S| per wave):
 // by that yardstick a shared sweep's win is mechanical — one scan feeds N
-// answers — and the chunks_pushed registry delta is what the cross-row
-// gate compares (shared rows must push well under half the chunks of their
-// unshared counterpart).
+// answers — and the pool's `morsels` registry delta is what the cross-row
+// gate compares (one probe grid dispatched for N members: shared rows must
+// run well under half the morsels of their unshared counterpart).
 
 #include <unistd.h>
 
@@ -150,10 +150,6 @@ void BM_Serve(benchmark::State& state) {
 
   exec::ExecConfig cfg;
   cfg.threads = threads;
-  // Dynamic chains on both sides of the shared axis: the shared sweep is a
-  // dynamic chain by construction, and identical executors keep the
-  // chunks_pushed comparison structural.
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
   const std::string isa_suffix = IsaAxis(state.range(3), &cfg);
 
   std::vector<uint64_t> latencies_ns;
@@ -223,7 +219,7 @@ void BM_Serve(benchmark::State& state) {
 }
 
 // {clients, threads, shared, isa}. Solo/shared pairs register adjacently
-// per (clients, threads, isa) cell so the chunks_pushed comparison
+// per (clients, threads, isa) cell so the morsels comparison
 // measures them seconds apart, and each cell's scalar and default rows
 // follow one another for the ISA gate. Fixed iterations keep the counter
 // totals comparable across the shared axis (same number of waves on both
@@ -266,7 +262,6 @@ void BM_ServeWeighted(benchmark::State& state) {
 
   exec::ExecConfig cfg;
   cfg.threads = threads;
-  cfg.pipeline_mode = exec::PipelineMode::kDynamic;
   IsaAxis(0, &cfg);  // the fairness rows stay on the scalar kernels
 
   uint64_t w1_completed = 0, w4_completed = 0;
@@ -345,7 +340,6 @@ void BM_ServeWire(benchmark::State& state) {
                    std::to_string(state.range(2)) + ".sock";
   opts.handler_threads = clients;
   opts.exec.threads = threads;
-  opts.exec.pipeline_mode = exec::PipelineMode::kDynamic;
   const std::string isa_suffix = IsaAxis(state.range(2), &opts.exec);
   net::Server server(&catalog, opts);
   std::string error;

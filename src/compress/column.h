@@ -78,10 +78,10 @@ inline BlockClass ClassifyBlock(const BlockMeta& m, uint32_t lo, uint32_t hi) {
   return BlockClass::kMixed;
 }
 
-// Scan-over-compressed instruments, shared by the dynamic operator
-// (exec/pipeline.cc) and the fused stage templates (exec/fused.h) — the
-// template instantiations cannot reference file-static counters, so the
-// static-storage instances live in column.cc behind these accessors.
+// Scan-over-compressed instruments, bumped by the fused source templates
+// (exec/fused.h) — the template instantiations cannot reference
+// file-static counters, so the static-storage instances live in column.cc
+// behind these accessors.
 obs::Counter& BlocksSkipped();    ///< blocks never unpacked (zone map miss)
 obs::Counter& BlocksAllPass();    ///< blocks emitted without evaluation
 obs::Counter& BytesUnpacked();    ///< packed payload bytes actually decoded

@@ -1,5 +1,6 @@
 #include "exec/adaptive.h"
 
+#include <algorithm>
 #include <cassert>
 
 namespace simddb::exec {
@@ -9,25 +10,8 @@ namespace {
 obs::Counter g_switches("adaptive_switches");
 obs::Counter g_explore_chunks("explore_chunks");
 
-// Per-operator chosen-variant histogram: one counter per (kind, isa[, scan
-// mode]) cell, bumped once per chunk (or fused window) that ran the
-// variant. The scan-representation axis only exists where the dispatcher
-// can actually switch representations (scan source, fused window).
-obs::Counter g_scan_scalar_compact("chosen_scan_scalar_compact");
-obs::Counter g_scan_scalar_bitmap("chosen_scan_scalar_bitmap");
-obs::Counter g_scan_avx2_compact("chosen_scan_avx2_compact");
-obs::Counter g_scan_avx2_bitmap("chosen_scan_avx2_bitmap");
-obs::Counter g_scan_avx512_compact("chosen_scan_avx512_compact");
-obs::Counter g_scan_avx512_bitmap("chosen_scan_avx512_bitmap");
-obs::Counter g_bloom_scalar("chosen_bloom_scalar");
-obs::Counter g_bloom_avx2("chosen_bloom_avx2");
-obs::Counter g_bloom_avx512("chosen_bloom_avx512");
-obs::Counter g_join_scalar("chosen_join_scalar");
-obs::Counter g_join_avx2("chosen_join_avx2");
-obs::Counter g_join_avx512("chosen_join_avx512");
-obs::Counter g_groupby_scalar("chosen_groupby_scalar");
-obs::Counter g_groupby_avx2("chosen_groupby_avx2");
-obs::Counter g_groupby_avx512("chosen_groupby_avx512");
+// Per-kind chosen-variant histogram: one counter per (kind, isa[, scan
+// mode]) cell, bumped once per chunk (or build block) that ran the variant.
 obs::Counter g_fused_scalar_compact("chosen_fused_scalar_compact");
 obs::Counter g_fused_scalar_bitmap("chosen_fused_scalar_bitmap");
 obs::Counter g_fused_avx2_compact("chosen_fused_avx2_compact");
@@ -40,48 +24,16 @@ obs::Counter g_build_avx512("chosen_build_avx512");
 
 obs::Counter* ChosenCounter(OpKind kind, const AdaptiveVariant& v) {
   const int i = static_cast<int>(v.isa);
-  const bool bm = v.scan_mode == ScanMode::kBitmap;
-  switch (kind) {
-    case OpKind::kScan: {
-      static obs::Counter* const t[3][2] = {
-          {&g_scan_scalar_compact, &g_scan_scalar_bitmap},
-          {&g_scan_avx2_compact, &g_scan_avx2_bitmap},
-          {&g_scan_avx512_compact, &g_scan_avx512_bitmap}};
-      return t[i][bm];
-    }
-    case OpKind::kBloomProbe: {
-      static obs::Counter* const t[3] = {&g_bloom_scalar, &g_bloom_avx2,
-                                         &g_bloom_avx512};
-      return t[i];
-    }
-    case OpKind::kJoinProbe: {
-      static obs::Counter* const t[3] = {&g_join_scalar, &g_join_avx2,
-                                         &g_join_avx512};
-      return t[i];
-    }
-    case OpKind::kGroupBy: {
-      static obs::Counter* const t[3] = {&g_groupby_scalar, &g_groupby_avx2,
-                                         &g_groupby_avx512};
-      return t[i];
-    }
-    case OpKind::kFusedWindow: {
-      static obs::Counter* const t[3][2] = {
-          {&g_fused_scalar_compact, &g_fused_scalar_bitmap},
-          {&g_fused_avx2_compact, &g_fused_avx2_bitmap},
-          {&g_fused_avx512_compact, &g_fused_avx512_bitmap}};
-      return t[i][bm];
-    }
-    case OpKind::kBuild: {
-      static obs::Counter* const t[3] = {&g_build_scalar, &g_build_avx2,
-                                         &g_build_avx512};
-      return t[i];
-    }
+  if (kind == OpKind::kBuild) {
+    static obs::Counter* const t[3] = {&g_build_scalar, &g_build_avx2,
+                                       &g_build_avx512};
+    return t[i];
   }
-  return &g_scan_scalar_compact;
-}
-
-ScanMode OtherMode(ScanMode m) {
-  return m == ScanMode::kCompact ? ScanMode::kBitmap : ScanMode::kCompact;
+  static obs::Counter* const t[3][2] = {
+      {&g_fused_scalar_compact, &g_fused_scalar_bitmap},
+      {&g_fused_avx2_compact, &g_fused_avx2_bitmap},
+      {&g_fused_avx512_compact, &g_fused_avx512_bitmap}};
+  return t[i][v.scan_mode == ScanMode::kBitmap];
 }
 
 // AdaptiveDecisions cell of a variant.
@@ -127,35 +79,12 @@ AdaptiveDispatcher::AdaptiveDispatcher(const ExecConfig& cfg,
   }
   for (int k = 0; k < kNumOpKinds; ++k) {
     OpState& s = ops_[k];
-    const OpKind kind = static_cast<OpKind>(k);
-    // The representation axis applies where the dispatcher can actually
-    // switch representations per chunk: the dynamic scan source. The fused
-    // path routes per-ISA only — each extra fused variant is a whole extra
-    // FusedPipeline instantiation whose per-lane state must be Prepared
-    // every query and explored every round, and doubling the set for the
-    // mode axis costs more in setup + explore tax than the compact/bitmap
-    // spread recovers (the fused scan's bitmap conversion is fused into
-    // the pipeline either way).
-    const bool has_mode_axis = kind == OpKind::kScan;
-    for (ScanMode mode : {plan_scan_mode, OtherMode(plan_scan_mode)}) {
-      for (Isa isa : isas) s.variants.push_back({isa, mode});
-      if (!has_mode_axis) break;
-    }
+    for (Isa isa : isas) s.variants.push_back({isa, plan_scan_mode});
     s.stats = std::vector<VariantStats>(s.variants.size());
-    if (kind == OpKind::kFusedWindow) {
-      // The fused driver paces its own schedule (it precomputes the whole
-      // round/span structure and runs the grid in one dispatch, resolving
-      // exploit winners lazily via DecideAndGetWinner), so it never calls
-      // Acquire; the lengths are set for completeness only.
-      s.explore_len = 1;
-      s.exploit_len = 1;
-    } else {
-      s.explore_len = cfg.adaptive.explore_chunks < 1
-                          ? 1
-                          : cfg.adaptive.explore_chunks;
-      s.exploit_len = cfg.adaptive.exploit_chunks < 1
-                          ? 1
-                          : cfg.adaptive.exploit_chunks;
+    // The fused probe paces its own schedule and never calls Acquire.
+    if (static_cast<OpKind>(k) == OpKind::kBuild) {
+      s.explore_len = std::max<uint32_t>(cfg.adaptive.explore_chunks, 1);
+      s.exploit_len = std::max<uint32_t>(cfg.adaptive.exploit_chunks, 1);
     }
   }
   if (cfg.adaptive_state != nullptr) Seed(cfg.adaptive_state->Load());
@@ -177,13 +106,13 @@ void AdaptiveDispatcher::Seed(const AdaptiveDecisions& prior) {
         s.warm = true;
       }
     }
-    // A persisted winner this query cannot run (the fused variants carry
-    // the plan's scan mode, which may differ) leaves the kind cold.
+    // A persisted winner this query cannot run (variants carry the plan's
+    // scan mode, which may differ) leaves the kind cold.
     if (!s.warm) continue;
     s.exploit_span = p.exploit_span;
-    // Chunk-paced kinds: one timed chunk per variant per round suffices
-    // when the decayed history supplies the rest of the evidence.
-    if (static_cast<OpKind>(k) != OpKind::kFusedWindow) s.explore_len = 1;
+    // kBuild: one timed block per variant per round suffices when the
+    // decayed history supplies the rest of the evidence.
+    if (static_cast<OpKind>(k) == OpKind::kBuild) s.explore_len = 1;
   }
 }
 

@@ -11,43 +11,44 @@
 // No plan-time choice is right for a phase-changing input, so the executor
 // re-times its variants on live chunks and switches mid-query.
 //
-// The AdaptiveDispatcher keeps one schedule per operator kind (scan, bloom
-// probe, join probe, group-by, fused window, build). Each schedule cycles
-// through rounds of
+// The AdaptiveDispatcher keeps one schedule per adaptive kind:
 //
-//   explore:  K chunks per variant, timed (obs::ThreadCpuNs around the
-//             kernel call only — CPU time, so a preempted lane doesn't
-//             charge the stall to the variant it was running), accumulated
-//             as ns/tuple per variant;
-//   exploit:  M chunks on the round's winner, untimed.
+//   kFusedWindow  the fused probe pipeline, routed per chunk span across
+//                 its per-ISA instantiations (fused.cc RunAdaptive);
+//   kBuild        the build-side table insert, re-timed in chunk-sized
+//                 blocks (fused.cc RunFusedBuild) — historically the
+//                 slowest phase of the AVX-512 anchor.
 //
-// Variants are {scalar, AVX2, AVX-512} filtered by host capability, crossed
-// with {compact, bitmap} for the dynamic scan source (the fused path routes
-// per-ISA only: an extra fused variant is a whole extra FusedPipeline whose
-// per-lane state must be Prepared every query and explored every round). Re-exploring every round tracks phase changes (selectivity ramps,
+// Each schedule cycles through rounds of
+//
+//   explore:  K chunks (blocks) per variant, timed (obs::ThreadCpuNs
+//             around the kernel call only — CPU time, so a preempted lane
+//             doesn't charge the stall to the variant it was running),
+//             accumulated as ns/tuple per variant;
+//   exploit:  M chunks (blocks) on the round's winner, untimed.
+//
+// Variants are {scalar, AVX2, AVX-512} filtered by host capability; every
+// variant carries the plan's scan mode (each fused variant is a whole
+// pipeline instantiation whose per-lane state must be Prepared every query
+// and explored every round, so the representation axis is not routed).
+// Re-exploring every round tracks phase changes (selectivity ramps,
 // clustered keys); the explore order rotates by round and by cfg.seed so
 // repeated runs do not always charge the same variant for the cold chunk.
 // Timing statistics DECAY at round boundaries (halved, not reset): a single
-// explore window is a small, noisy sample — especially the fused whole-window
-// wall times — so the winner decision weighs fresh evidence against a
-// geometrically-fading history instead of betting M chunks on two
-// measurements. A phase flip still overturns the history within ~2 rounds.
-// The incumbent winner also gets 10% hysteresis: near-equal variants (common
-// at very low selectivity, where every kernel sees a handful of tuples) must
-// not flip-flop on measurement jitter. Individual samples are clamped at 8x
-// the variant's historical per-tuple cost — on a shared host one preemption
-// inside a timed chunk would otherwise poison a whole round's decision.
+// explore window is a small, noisy sample, so the winner decision weighs
+// fresh evidence against a geometrically-fading history instead of betting
+// M chunks on two measurements. A phase flip still overturns the history
+// within ~2 rounds. The incumbent winner also gets 10% hysteresis:
+// near-equal variants (common at very low selectivity, where every kernel
+// sees a handful of tuples) must not flip-flop on measurement jitter.
+// Individual samples are clamped at 8x the variant's historical per-tuple
+// cost — on a shared host one preemption inside a timed chunk would
+// otherwise poison a whole round's decision.
 //
-// Two attribution rules keep the greedy per-op decisions honest. (1) A
-// bitmap-mode scan defers its compaction cost to whichever downstream
-// operator first Compacts the chunk, so in adaptive mode the scan compacts
-// inside its own timed scope — the representation axis is judged on its
-// end-to-end per-chunk cost, not on the cheap half it would externalize.
-// (2) The build-side table/bloom inserts (historically the slowest phase on
-// AVX-512) are re-timed per block in HashBuildOp::Finish rather than pinned
-// to the anchor ISA.
+// The build-side scan is not routed: it runs the anchor ISA (see
+// RunFusedBuild).
 //
-// Correctness is free: every variant of every operator produces the same
+// Correctness is free: every variant of every kind produces the same
 // canonical result by construction (the exec_test.cc / exec_adaptive_test.cc
 // matrices prove byte-identity across ISAs, scan modes, threads, and chunk
 // sizes), so the dispatcher can switch on any chunk boundary — including in
@@ -57,9 +58,9 @@
 // the query returns (benign by design, and clean under TSan).
 //
 // Observability: `adaptive_switches` counts winner changes, `explore_chunks`
-// counts timed chunks, and the per-operator `chosen_<op>_<variant>` counters
-// histogram which variant each chunk actually ran — all exported into bench
-// JSONL rows by the registry like every other instrument.
+// counts timed chunks, and the per-kind `chosen_<kind>_<variant>` counters
+// histogram which variant each chunk (block) actually ran — all exported
+// into bench JSONL rows by the registry like every other instrument.
 //
 // Decisions outlive the query when ExecConfig::adaptive_state is set (the
 // server's QueryScheduler keeps one AdaptiveState per bound key). The
@@ -71,11 +72,11 @@
 // its query, so concurrent queries on one key never share an atomic on the
 // hot path. A seeded (warm) kind starts where the last query left off: the
 // fused driver opens with the grown exploit span instead of 16 chunks, and
-// the chunk-paced kinds (scan, bloom, join, group-by, build) time one chunk
-// per variant per explore round instead of explore_chunks, the decayed
-// history standing in for the rest of the sample. Every query still runs
-// at least one explore round per kind, so a selectivity shift between
-// queries is caught by the first round.
+// the block-paced build kind times one block per variant per explore round
+// instead of explore_chunks, the decayed history standing in for the rest
+// of the sample. Every query still runs at least one explore round per
+// kind, so a selectivity shift between queries is caught by the first
+// round.
 
 #include <atomic>
 #include <cstdint>
@@ -84,33 +85,22 @@
 #include <vector>
 
 #include "core/isa.h"
-#include "exec/pipeline.h"
+#include "exec/query.h"
 #include "obs/metrics.h"
 
 namespace simddb::exec {
 
-/// Operator kinds with their own adaptive schedule. kFusedWindow routes the
-/// per-ISA FusedPipeline instantiations at span granularity: the fused
-/// driver (fused.cc) precomputes its round/span structure, runs the whole
-/// grid in one dispatch, and resolves each exploit span's winner lazily via
-/// DecideAndGetWinner instead of calling Acquire per chunk.
-enum class OpKind : int {
-  kScan = 0,
-  kBloomProbe = 1,
-  kJoinProbe = 2,
-  kGroupBy = 3,
-  kFusedWindow = 4,
-  /// Build-side table insert + bloom add, re-timed in chunk-sized blocks
-  /// inside HashBuildOp::Finish. The blocks run sequentially in seq order,
-  /// so switching the ISA per block never reorders insertions.
-  kBuild = 5,
-};
-inline constexpr int kNumOpKinds = 6;
+/// Kinds with their own adaptive schedule. kFusedWindow is self-paced: the
+/// fused probe (fused.cc) precomputes its round/span structure, runs the
+/// whole grid in one dispatch, and resolves each exploit span's winner
+/// lazily via DecideAndGetWinner. kBuild claims one Acquire slot per
+/// block; the blocks run sequentially in seq order, so switching the ISA
+/// per block never reorders insertions.
+enum class OpKind : int { kFusedWindow = 0, kBuild = 1 };
+inline constexpr int kNumOpKinds = 2;
 
-/// One selectable implementation of an operator kind. scan_mode is
-/// meaningful for kScan only (the representation axis); the other kinds —
-/// including kFusedWindow, which routes per-ISA — carry the plan's mode
-/// unchanged.
+/// One selectable implementation of a kind: an ISA, carrying the plan's
+/// scan mode unchanged.
 struct AdaptiveVariant {
   Isa isa = Isa::kScalar;
   ScanMode scan_mode = ScanMode::kCompact;
@@ -129,7 +119,7 @@ struct AdaptiveDecisions {
     uint64_t ns[3][2] = {};
     uint64_t tuples[3][2] = {};
     /// Exploit-span length (chunks) a self-paced schedule grew to; 0 for
-    /// the chunk-paced kinds, whose exploit length is fixed.
+    /// kBuild, whose exploit length is fixed.
     uint64_t exploit_span = 0;
   };
   Op ops[kNumOpKinds];
@@ -143,8 +133,8 @@ class AdaptiveState {
   AdaptiveDecisions Load() const;
   /// Each kind the query ran replaces the stored entry — the query was
   /// seeded from that entry, so its samples already carry the decayed
-  /// history. Kinds it did not run (bloom without a filter, the fused
-  /// window on a dynamic plan) keep theirs. When two queries on one key
+  /// history. Kinds it did not run (the build insert of an empty build
+  /// side) keep theirs. When two queries on one key
   /// overlap, the later publisher's view of a kind wins.
   void Publish(const AdaptiveDecisions& d);
   /// Queries that have published into this state.
@@ -189,8 +179,8 @@ class AdaptiveDispatcher {
     bool explore = false;  ///< true: caller times the kernel and Reports
   };
 
-  /// Claims the next schedule slot for one chunk (or one fused window) of
-  /// `kind`. Thread-safe; called concurrently by worker lanes.
+  /// Claims the next schedule slot for one block of a block-paced kind
+  /// (kBuild). Thread-safe.
   Ticket Acquire(OpKind kind);
 
   /// Records an explore measurement. `tuples` normalizes the cost (chunk
@@ -213,11 +203,11 @@ class AdaptiveDispatcher {
   /// returns it; idempotent per round (first caller decides, later callers
   /// read). The stats decay happens here — once per decided round — so a
   /// self-paced schedule gets the same halve-per-round blending Acquire's
-  /// pos==0 path gives the chunk-paced kinds.
+  /// pos==0 path gives kBuild.
   int DecideAndGetWinner(OpKind kind, uint64_t round);
 
   /// Bumps the chosen-variant histogram: self-paced schedules count their
-  /// own chunks (Acquire does this for the chunk-paced kinds).
+  /// own chunks (Acquire does this for kBuild).
   void CountChosen(OpKind kind, int variant, uint64_t chunks);
   /// Bumps the explore_chunks instrument for self-paced explore work.
   void CountExplored(uint64_t chunks);
@@ -273,55 +263,6 @@ class AdaptiveDispatcher {
   uint64_t seed_ = 0;
   bool rotate_for_testing_ = false;
   std::atomic<uint64_t> switches_{0};
-};
-
-/// RAII helper for the dynamic operators: resolves the effective (isa,
-/// scan mode) for one chunk and, on explore tickets, times the enclosed
-/// kernel call and reports it. Construct immediately before the kernel
-/// with the kernel's input size, destroy right after.
-///
-/// An empty input bypasses the schedule: it runs the static variant,
-/// untimed, and claims no slot. Its time would be the call's fixed
-/// overhead, which says nothing about a variant's per-tuple cost — and on
-/// clustered inputs (a value window selecting one band of the fact table)
-/// whole explore windows would otherwise land on empty chunks outside the
-/// band, leaving the downstream kinds undecided or decided on noise.
-class AdaptiveOpScope {
- public:
-  AdaptiveOpScope(AdaptiveDispatcher* d, OpKind kind, Isa static_isa,
-                  ScanMode static_mode, uint64_t tuples)
-      : d_(tuples == 0 ? nullptr : d),
-        kind_(kind),
-        isa_(static_isa),
-        mode_(static_mode),
-        tuples_(tuples) {
-    if (d_ == nullptr) return;
-    ticket_ = d_->Acquire(kind_);
-    const AdaptiveVariant& v = d_->variant(kind_, ticket_.variant);
-    isa_ = v.isa;
-    mode_ = v.scan_mode;
-    if (ticket_.explore) start_ns_ = obs::ThreadCpuNs();
-  }
-  ~AdaptiveOpScope() {
-    if (d_ != nullptr && ticket_.explore) {
-      d_->Report(kind_, ticket_.variant, obs::ThreadCpuNs() - start_ns_,
-                 tuples_);
-    }
-  }
-  AdaptiveOpScope(const AdaptiveOpScope&) = delete;
-  AdaptiveOpScope& operator=(const AdaptiveOpScope&) = delete;
-
-  Isa isa() const { return isa_; }
-  ScanMode scan_mode() const { return mode_; }
-
- private:
-  AdaptiveDispatcher* d_;
-  OpKind kind_;
-  Isa isa_;
-  ScanMode mode_;
-  uint64_t tuples_;
-  AdaptiveDispatcher::Ticket ticket_{};
-  uint64_t start_ns_ = 0;
 };
 
 }  // namespace simddb::exec

@@ -1,16 +1,9 @@
 #include "exec/chunk.h"
 
+#include <cassert>
 #include <cstring>
 
-#include "obs/metrics.h"
-
 namespace simddb::exec {
-namespace {
-
-obs::Counter g_bitmap_to_sel("bitmap_to_sel");
-obs::Counter g_sel_to_bitmap("sel_to_bitmap");
-
-}  // namespace
 
 size_t BitmapToSelection(Isa isa, const uint64_t* bitmap, size_t n,
                          uint32_t* sel) {
@@ -76,58 +69,5 @@ size_t RangePredicateBitmapScalar(const uint32_t* keys, size_t n, uint32_t lo,
 }
 
 }  // namespace detail
-
-void Chunk::Reset(size_t capacity, int n_cols) {
-  assert(n_cols >= 1 && n_cols <= kMaxColumns);
-  capacity_ = capacity;
-  n_cols_ = n_cols;
-  for (int c = 0; c < n_cols; ++c) cols_[c].Reset(ChunkCapacity(capacity));
-  sel_.Reset(ChunkCapacity(capacity));
-  bitmap_.Reset(ChunkBitmapWords(capacity));
-  size_ = 0;
-  active_ = 0;
-  kind_ = SelKind::kDense;
-  seq_ = 0;
-}
-
-void Chunk::MaterializeSelection(Isa isa) {
-  if (kind_ != SelKind::kBitmap) return;
-  const size_t cnt = BitmapToSelection(isa, bitmap_.data(), size_, sel_.data());
-  assert(cnt == active_);
-  g_bitmap_to_sel.Add(1);
-  active_ = cnt;
-  kind_ = SelKind::kSelection;
-}
-
-void Chunk::MaterializeBitmap(Isa isa) {
-  (void)isa;
-  if (kind_ == SelKind::kBitmap) return;
-  if (kind_ == SelKind::kDense) {
-    // All-ones prefix: full words then a partial tail word.
-    const size_t words = ChunkBitmapWords(size_);
-    for (size_t w = 0; w < words; ++w) bitmap_[w] = ~uint64_t{0};
-    if (size_ & 63) {
-      bitmap_[words - 1] = (uint64_t{1} << (size_ & 63)) - 1;
-    }
-    active_ = size_;
-  } else {
-    SelectionToBitmap(sel_.data(), active_, size_, bitmap_.data());
-  }
-  g_sel_to_bitmap.Add(1);
-  kind_ = SelKind::kBitmap;
-}
-
-void Chunk::Compact(Isa isa) {
-  if (kind_ == SelKind::kDense) return;
-  MaterializeSelection(isa);
-  const size_t cnt = active_;
-  for (int c = 0; c < n_cols_; ++c) {
-    uint32_t* col = cols_[c].data();
-    // Forward in-place gather; sel is ascending so sel[j] >= j and the
-    // write at j never clobbers an unread source.
-    for (size_t j = 0; j < cnt; ++j) col[j] = col[sel_[j]];
-  }
-  SetDense(cnt);
-}
 
 }  // namespace simddb::exec

@@ -1,19 +1,13 @@
 #ifndef SIMDDB_EXEC_CHUNK_H_
 #define SIMDDB_EXEC_CHUNK_H_
 
-// Fixed-capacity column chunk — the unit of data flow in the push-based
-// execution subsystem (src/exec/). A chunk carries up to kMaxColumns 32-bit
-// columns (column 0 is the key by convention) plus one of three tuple-
-// visibility representations, the selection-vector/bitmap duality of
-// TPL-style vectorized engines:
-//
-//   kDense      every tuple in [0, size) is active (the common case after a
-//               compacting operator — selection scan, bloom probe, join).
-//   kSelection  a dense ascending vector of active tuple indexes; the
-//               representation SIMD gathers want.
-//   kBitmap     one bit per tuple; the representation SIMD predicates
-//               produce for free (AVX-512 compare masks concatenate into
-//               bitmap words with no extra work).
+// Chunk geometry and the selection-vector/bitmap converters of the
+// execution subsystem (src/exec/). The fused engine (exec/fused.h) walks a
+// deterministic grid of chunk_tuples-sized chunks; a bitmap-mode scan
+// evaluates its range predicate into one bit per tuple (AVX-512 compare
+// masks concatenate into bitmap words with no extra work) and converts the
+// bitmap to a dense ascending selection vector before gathering — the
+// representation SIMD gathers want.
 //
 // Converters between the two sparse forms are SIMD-dispatched:
 // bitmap -> selection uses positional population counts over 8-word blocks
@@ -27,13 +21,11 @@
 // accumulation is limited by store-to-load forwarding, not ALU width).
 //
 // Capacity contract (centralized, mirroring ShuffleCapacity /
-// SelectionScanCapacity): every column and the selection vector of a chunk
+// SelectionScanCapacity): every per-lane batch column and selection vector
 // sized for n tuples must hold ChunkCapacity(n) elements, because the
-// vector scan/probe kernels that fill chunks may overshoot their returned
-// count by up to one 16-lane vector. Chunk::Reset allocates to this
-// contract; operator entry points assert it.
+// vector scan/probe kernels that fill them may overshoot their returned
+// count by up to one 16-lane vector.
 
-#include <cassert>
 #include <cstddef>
 #include <cstdint>
 
@@ -47,12 +39,12 @@ namespace simddb::exec {
 /// chunk boundaries.
 inline constexpr size_t kDefaultChunkTuples = 1024;
 
-/// Slack every chunk column carries beyond its tuple capacity: one 16-lane
+/// Slack every batch column carries beyond its tuple capacity: one 16-lane
 /// vector of overshoot, the same contract as kShuffleSlackTuples and
-/// kSelectionScanPad (the kernels that fill chunks are the same kernels).
+/// kSelectionScanPad (the kernels that fill batches are the same kernels).
 inline constexpr size_t kChunkSlackTuples = 16;
 
-/// Elements every column / selection-vector buffer of an n-tuple chunk
+/// Elements every column / selection-vector buffer of an n-tuple batch
 /// must hold.
 inline constexpr size_t ChunkCapacity(size_t n) {
   return n + kChunkSlackTuples;
@@ -60,9 +52,6 @@ inline constexpr size_t ChunkCapacity(size_t n) {
 
 /// 64-bit words covering an n-tuple bitmap.
 inline constexpr size_t ChunkBitmapWords(size_t n) { return (n + 63) / 64; }
-
-/// Tuple-visibility representation carried by a chunk (see file comment).
-enum class SelKind { kDense, kSelection, kBitmap };
 
 // ---------------------------------------------------------------------------
 // Free converter kernels (ISA-dispatched; also the test/bench surface)
@@ -99,110 +88,6 @@ size_t BitmapToSelectionAvx512(const uint64_t* bitmap, size_t n,
 size_t RangePredicateBitmapAvx512(const uint32_t* keys, size_t n, uint32_t lo,
                                   uint32_t hi, uint64_t* bitmap);
 }  // namespace detail
-
-// ---------------------------------------------------------------------------
-// Chunk
-// ---------------------------------------------------------------------------
-
-/// A fixed-capacity chunk of up to kMaxColumns 32-bit columns with a
-/// selection-vector/bitmap visibility state. Owns its storage; operators
-/// keep one per worker lane and recycle it across pushes.
-class Chunk {
- public:
-  static constexpr int kMaxColumns = 4;
-
-  Chunk() = default;
-  Chunk(size_t capacity, int n_cols) { Reset(capacity, n_cols); }
-
-  /// (Re)allocates for `capacity` tuples and `n_cols` columns (1 ..
-  /// kMaxColumns). Columns and the selection vector get ChunkCapacity(
-  /// capacity) elements — the centralized scratch contract every filling
-  /// kernel assumes. Size is reset to 0 (dense).
-  void Reset(size_t capacity, int n_cols);
-
-  size_t capacity() const { return capacity_; }
-  int n_cols() const { return n_cols_; }
-
-  /// Tuples physically present in the columns (the dense extent).
-  size_t size() const { return size_; }
-
-  /// Active tuples under the current visibility representation.
-  size_t active() const {
-    return kind_ == SelKind::kDense ? size_ : active_;
-  }
-
-  SelKind kind() const { return kind_; }
-
-  uint32_t* col(int c) {
-    assert(c >= 0 && c < n_cols_);
-    return cols_[c].data();
-  }
-  const uint32_t* col(int c) const {
-    assert(c >= 0 && c < n_cols_);
-    return cols_[c].data();
-  }
-
-  uint32_t* sel() { return sel_.data(); }
-  const uint32_t* sel() const { return sel_.data(); }
-  uint64_t* bitmap() { return bitmap_.data(); }
-  const uint64_t* bitmap() const { return bitmap_.data(); }
-
-  /// Ordinal of this chunk in its source's deterministic grid; sinks that
-  /// are order-sensitive (hash-build materialization) slot by it so results
-  /// never depend on which lane carried the chunk.
-  uint64_t seq() const { return seq_; }
-  void set_seq(uint64_t s) { seq_ = s; }
-
-  /// All n tuples active (n <= capacity()).
-  void SetDense(size_t n) {
-    assert(n <= capacity_);
-    size_ = n;
-    active_ = n;
-    kind_ = SelKind::kDense;
-  }
-
-  /// sel()[0, count) holds the ascending active indexes over a dense extent
-  /// of n tuples.
-  void SetSelection(size_t n, size_t count) {
-    assert(n <= capacity_ && count <= n);
-    size_ = n;
-    active_ = count;
-    kind_ = SelKind::kSelection;
-  }
-
-  /// bitmap() covers a dense extent of n tuples with `count` set bits.
-  void SetBitmap(size_t n, size_t count) {
-    assert(n <= capacity_ && count <= n);
-    size_ = n;
-    active_ = count;
-    kind_ = SelKind::kBitmap;
-  }
-
-  /// kBitmap -> kSelection via the SIMD converter (counts the obs
-  /// `bitmap_to_sel` conversion). No-op for the other kinds.
-  void MaterializeSelection(Isa isa);
-
-  /// kSelection -> kBitmap (counts `sel_to_bitmap`). kDense also
-  /// materializes (an all-ones bitmap). No-op when already a bitmap.
-  void MaterializeBitmap(Isa isa);
-
-  /// Physically compacts the active tuples of every column to the front and
-  /// switches to kDense. Converts a bitmap to a selection vector first.
-  /// The in-place column gather is safe because selection indexes are
-  /// ascending: destination j never passes source sel[j] >= j.
-  void Compact(Isa isa);
-
- private:
-  AlignedBuffer<uint32_t> cols_[kMaxColumns];
-  AlignedBuffer<uint32_t> sel_;
-  AlignedBuffer<uint64_t> bitmap_;
-  size_t capacity_ = 0;
-  size_t size_ = 0;
-  size_t active_ = 0;
-  int n_cols_ = 0;
-  SelKind kind_ = SelKind::kDense;
-  uint64_t seq_ = 0;
-};
 
 }  // namespace simddb::exec
 

@@ -1,5 +1,5 @@
 // AVX2 backend TU for the template-fused pipelines: anchors the
-// RunFusedProbe<kAvx2> instantiation (so the fused stage loops compile
+// MakeFusedProbeRunner<kAvx2> instantiation (so the fused stage loops compile
 // under the AVX2 flags) and the fused two-column gather. Haswell has native
 // gathers (vpgatherdd) but no masked 32-bit loads worth using here, so the
 // tail stays scalar — reading past `cnt` would gather through garbage
@@ -37,10 +37,7 @@ void GatherPairAvx2(const uint32_t* a, const uint32_t* b, const uint32_t* sel,
 
 }  // namespace detail
 
-template FusedProbeResult RunFusedProbe<Isa::kAvx2>(const FusedProbeSpec&,
-                                                    const ExecConfig&);
 template std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner<Isa::kAvx2>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
+    const FusedProbeSpec&, ScanMode, FusedPartials*);
 
 }  // namespace simddb::exec

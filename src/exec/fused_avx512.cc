@@ -1,5 +1,5 @@
 // AVX-512 backend TU for the template-fused pipelines: anchors the
-// RunFusedProbe<kAvx512> instantiation and the fused two-column gather.
+// MakeFusedProbeRunner<kAvx512> instantiation and the fused two-column gather.
 // The tail is fully masked (maskz index load -> masked gather -> masked
 // store), so no lane ever dereferences an index beyond `cnt`.
 
@@ -36,10 +36,7 @@ void GatherPairAvx512(const uint32_t* a, const uint32_t* b,
 
 }  // namespace detail
 
-template FusedProbeResult RunFusedProbe<Isa::kAvx512>(const FusedProbeSpec&,
-                                                      const ExecConfig&);
 template std::unique_ptr<FusedProbeRunner> MakeFusedProbeRunner<Isa::kAvx512>(
-    const FusedProbeSpec&, ScanMode,
-    std::vector<std::unique_ptr<GroupByAggregator>>*);
+    const FusedProbeSpec&, ScanMode, FusedPartials*);
 
 }  // namespace simddb::exec

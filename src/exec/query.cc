@@ -5,150 +5,62 @@
 #include "exec/adaptive.h"
 #include "exec/fused.h"
 #include "obs/metrics.h"
+#include "partition/parallel_partition.h"
+#include "partition/partition_fn.h"
 
 namespace simddb::exec {
 namespace {
 
-// Whole-query wall time per executor path, recorded on the submitting
-// thread. Both spans cover the full plan (build pipeline + probe side), so
-// exec_fused_ns / exec_dynamic_ns measured on the same plan are directly
-// comparable — the ratio the bench gate in scripts/bench_baselines.json
-// checks. Registry keeps raw pointers: static storage required.
+// Whole-query wall time, recorded on the submitting thread. Registry keeps
+// raw pointers: static storage required.
 obs::PhaseTimer g_fused_ns("exec_fused_ns");
-obs::PhaseTimer g_dynamic_ns("exec_dynamic_ns");
 
-}  // namespace
+// The partition barrier: the bloom-filtered S rows are staged at the anchor
+// ISA, hash-partitioned on the fk by one morsel-parallel buffered pass
+// (histogram, interleaved prefix sum, shuffle behind a PhaseBarrier), and
+// re-streamed through a dense source into the join probe and group-by.
+QueryResult RunPartitionedProbe(FusedProbeSpec spec, uint32_t fanout,
+                                const ExecConfig& cfg) {
+  FusedStaging staging;
+  const LinearProbingTable* table = spec.table;
+  spec.table = nullptr;
+  spec.staging = &staging;
+  ExecConfig pre_cfg = cfg;
+  pre_cfg.dispatcher = nullptr;
+  const QueryResult pre = RunFusedProbePipeline(spec, pre_cfg);
 
-// Pipeline 0 of every plan — the build side materializes through Chunk
-// staging on both executor paths, so the fused path probes the exact table
-// and Bloom filter the dynamic path builds.
-HashBuildOp* AddBuildPipeline(Query& q, const ScanJoinAggregatePlan& plan) {
-  Operator* r_scan =
-      plan.r_keys_c != nullptr
-          ? static_cast<Operator*>(q.Add<CompressedScanOp>(
-                plan.r_keys_c, plan.r_attrs_c, plan.r_lo, plan.r_hi,
-                /*filter_on_vals=*/false, plan.scan_mode))
-          : q.Add<ScanOp>(plan.r_keys, plan.r_attrs, plan.n_r, plan.r_lo,
-                          plan.r_hi,
-                          /*filter_on_vals=*/false, plan.scan_mode);
-  HashBuildOp* build =
-      q.Add<HashBuildOp>(plan.bloom_bits_per_key, plan.bloom_k);
-  std::vector<Operator*> ops{r_scan};
-  if (plan.scan_mode == ScanMode::kBitmap) ops.push_back(q.Add<MaterializeOp>());
-  ops.push_back(build);
-  q.AddPipeline(std::move(ops));
-  return build;
-}
+  const size_t n = staging.Compact();
+  const size_t cap = ShuffleCapacity(n);
+  AlignedBuffer<uint32_t> keys(cap), pays(cap);
+  numa::PlaceBuffer(keys.data(), cap * sizeof(uint32_t), cfg.threads,
+                    cfg.placement);
+  numa::PlaceBuffer(pays.data(), cap * sizeof(uint32_t), cfg.threads,
+                    cfg.placement);
+  std::vector<uint32_t> starts(fanout + 1, 0);
+  ParallelPartitionResources res;
+  ParallelPartitionPass(PartitionFn::Hash(fanout, cfg.seed), staging.keys(),
+                        staging.pays(), n, keys.data(), pays.data(), cfg.isa,
+                        cfg.threads, &res, starts.data(),
+                        ShuffleVariant::kAuto, cap);
 
-namespace {
-
-QueryResult RunDynamic(const ScanJoinAggregatePlan& plan,
-                       const ExecConfig& cfg) {
-  obs::ScopedPhase t(g_dynamic_ns);
-  Query q;
-  HashBuildOp* build = AddBuildPipeline(q, plan);
-
-  // Probe side: S scan -> [materialize] -> [bloom] -> [partition barrier]
-  // -> join probe -> group-by sink. The scan filters on S.val, emitting
-  // chunks with col 0 = fk, col 1 = val; the join probe appends col 2 =
-  // R.attr; the sink groups col 2 aggregating col 1.
-  Operator* s_scan =
-      plan.s_fks_c != nullptr
-          ? static_cast<Operator*>(q.Add<CompressedScanOp>(
-                plan.s_fks_c, plan.s_vals_c, plan.s_lo, plan.s_hi,
-                /*filter_on_vals=*/true, plan.scan_mode))
-          : q.Add<ScanOp>(plan.s_fks, plan.s_vals, plan.n_s, plan.s_lo,
-                          plan.s_hi,
-                          /*filter_on_vals=*/true, plan.scan_mode);
-  BloomProbeOp* bloom =
-      plan.bloom_bits_per_key > 0 ? q.Add<BloomProbeOp>(build) : nullptr;
-  PartitionOp* part = plan.partition_fanout > 0
-                          ? q.Add<PartitionOp>(plan.partition_fanout)
-                          : nullptr;
-  HashJoinProbeOp* probe = q.Add<HashJoinProbeOp>(build);
-  GroupBySink* sink = q.Add<GroupBySink>(plan.max_groups_hint, /*key_col=*/2,
-                                         /*val_col=*/1);
-  {
-    std::vector<Operator*> ops{s_scan};
-    if (plan.scan_mode == ScanMode::kBitmap) ops.push_back(q.Add<MaterializeOp>());
-    if (bloom != nullptr) ops.push_back(bloom);
-    if (part != nullptr) {
-      ops.push_back(part);
-      q.AddPipeline(std::move(ops));
-      ops = {part};
-    }
-    ops.push_back(probe);
-    ops.push_back(sink);
-    q.AddPipeline(std::move(ops));
-  }
-
-  q.Run(cfg);
-
-  QueryResult res;
-  res.group_keys = sink->keys();
-  res.sums = sink->sums();
-  res.counts = sink->counts();
-  res.mins = sink->mins();
-  res.maxs = sink->maxs();
-  res.rows_build = build->build_rows();
-  res.rows_scanned = s_scan->rows_out();
-  res.rows_bloomed = bloom != nullptr ? bloom->rows_out() : res.rows_scanned;
-  res.rows_joined = probe->rows_out();
-  return res;
-}
-
-QueryResult RunFused(const ScanJoinAggregatePlan& plan, const ExecConfig& cfg) {
-  obs::ScopedPhase t(g_fused_ns);
-  // The build breaker still runs through the dynamic Chunk machinery (it
-  // materializes state, the one thing fusion cannot elide), so a fused
-  // query counts one dynamic pipeline (the build) plus one fused pipeline.
-  Query q;
-  HashBuildOp* build = AddBuildPipeline(q, plan);
-  q.Run(cfg);
-
-  FusedProbeSpec spec;
-  spec.fks = plan.s_fks;
-  spec.vals = plan.s_vals;
-  spec.fks_c = plan.s_fks_c;
-  spec.vals_c = plan.s_vals_c;
-  spec.n = plan.s_fks_c != nullptr ? plan.s_fks_c->size() : plan.n_s;
-  spec.lo = plan.s_lo;
-  spec.hi = plan.s_hi;
-  spec.scan_mode = plan.scan_mode;
-  spec.table = build->table();
-  // bloom() is null when the filter is disabled or the build side is empty;
-  // the fused bloom stage forwards batches untouched in that case, exactly
-  // like the dynamic BloomProbeOp.
-  spec.bloom = plan.bloom_bits_per_key > 0 ? build->bloom() : nullptr;
-  spec.max_groups_hint = plan.max_groups_hint;
-  FusedProbeResult fr = RunFusedProbePipeline(spec, cfg);
-
-  QueryResult res;
-  res.group_keys = std::move(fr.group_keys);
-  res.sums = std::move(fr.sums);
-  res.counts = std::move(fr.counts);
-  res.mins = std::move(fr.mins);
-  res.maxs = std::move(fr.maxs);
-  res.rows_build = build->build_rows();
-  res.rows_scanned = fr.rows_scanned;
-  res.rows_bloomed = fr.rows_bloomed;
-  res.rows_joined = fr.rows_joined;
-  res.used_fused = true;
-  return res;
+  FusedProbeSpec post;
+  post.keys = keys.data();
+  post.pays = pays.data();
+  post.n = n;
+  post.dense = true;
+  post.table = table;
+  post.max_groups_hint = spec.max_groups_hint;
+  QueryResult out = RunFusedProbePipeline(post, cfg);
+  out.rows_scanned = pre.rows_scanned;
+  out.rows_bloomed = pre.rows_bloomed;
+  return out;
 }
 
 }  // namespace
-
-bool FusedPlanSupported(const ScanJoinAggregatePlan& plan) {
-  // Fused instantiations cover the streaming Q3 probe shapes — scan ->
-  // [bloom] -> join probe -> group-by, compact or bitmap scan, any ISA. A
-  // partition barrier materializes mid-stream, so partitioned plans fall
-  // back to the dynamic executor.
-  return plan.partition_fanout == 0;
-}
 
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg) {
+  obs::ScopedPhase t(g_fused_ns);
   // Plan-build sanitization: never trust the requested ISA — an unsupported
   // request degrades to the best supported backend instead of SIGILLing in
   // the first kernel (see EffectiveIsa).
@@ -159,9 +71,13 @@ QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
   if (run_cfg.isa_mode == IsaMode::kAdaptive) {
     run_cfg.dispatcher = &dispatcher.emplace(run_cfg, plan.scan_mode);
   }
-  const bool fused = run_cfg.pipeline_mode != PipelineMode::kDynamic &&
-                     FusedPlanSupported(plan);
-  QueryResult res = fused ? RunFused(plan, run_cfg) : RunDynamic(plan, run_cfg);
+  const FusedBuild build = RunFusedBuild(plan, run_cfg);
+  const FusedProbeSpec spec = ProbeSpec(plan, build);
+  QueryResult res =
+      plan.partition_fanout == 0
+          ? RunFusedProbePipeline(spec, run_cfg)
+          : RunPartitionedProbe(spec, plan.partition_fanout, run_cfg);
+  res.rows_build = build.rows;
   // Publish only completed queries: an abort unwinds past this point, and
   // a half-run schedule is not evidence worth keeping.
   if (dispatcher && run_cfg.adaptive_state != nullptr) {

@@ -1,59 +1,101 @@
 #ifndef SIMDDB_EXEC_QUERY_H_
 #define SIMDDB_EXEC_QUERY_H_
 
-// Query assembly over exec/pipeline.h: a Query owns a set of operators and
-// an ordered list of pipelines (each ending at a sink or breaker; a breaker
-// sources the next pipeline), and RunScanJoinAggregate composes the
-// canonical scan -> bloom -> join -> group-by plan — the TPC-H-Q3-shaped
-// workload the end-to-end bench and tests run across scalar/AVX2/AVX-512.
+// Query entry point of the execution subsystem (src/exec/): the execution
+// parameters every pipeline shares, and RunScanJoinAggregate, which runs
+// the canonical scan -> bloom -> join -> group-by plan — the
+// TPC-H-Q3-shaped workload the end-to-end bench and tests run across
+// scalar/AVX2/AVX-512 — on the template-fused engine (exec/fused.h).
 //
 // The result representation is canonical (group rows in ascending key
 // order with exact commutative aggregates), so a plan's QueryResult is
 // byte-identical across ISAs, thread counts, chunk sizes, and scan modes —
-// the property exec_test.cc checks against a hand-composed operator
-// sequence.
+// the property exec_test.cc checks against a hand-composed kernel
+// sequence and a std::map reference.
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "compress/column.h"
+#include "core/isa.h"
+#include "exec/chunk.h"
+#include "numa/placement.h"
+#include "scan/selection_scan.h"
 
 namespace simddb::exec {
 
-/// Owns operators and runs their pipelines in order.
-class Query {
- public:
-  /// Constructs an operator owned by this query; returns a borrowed pointer
-  /// for wiring into pipelines.
-  template <typename Op, typename... Args>
-  Op* Add(Args&&... args) {
-    auto op = std::make_unique<Op>(std::forward<Args>(args)...);
-    Op* raw = op.get();
-    ops_.push_back(std::move(op));
-    return raw;
-  }
+/// Selects nothing: every plan runs on the fused engine. Kept declared
+/// (with ExecConfig::pipeline_mode and QueryResult::used_fused) only for
+/// the serving benchmark (perfbench/), which still names it.
+enum class PipelineMode { kAuto, kDynamic, kFused };
 
-  /// Appends a pipeline (first operator is its source). Pipelines run in
-  /// insertion order; a breaker must be the sink of an earlier pipeline
-  /// than the one it sources.
-  void AddPipeline(std::vector<Operator*> ops) {
-    pipelines_.emplace_back(std::move(ops));
-  }
+/// How operator variants are chosen. kStatic runs cfg.isa and the plan's
+/// scan mode everywhere; kAdaptive (the default) lets an AdaptiveDispatcher
+/// (exec/adaptive.h) re-time the supported {scalar, AVX2, AVX-512}
+/// variants on live chunks and switch to the current winner mid-query.
+/// Results are byte-identical either way — variants only differ in speed.
+enum class IsaMode { kStatic, kAdaptive };
 
-  /// Runs every pipeline to completion in order.
-  void Run(const ExecConfig& cfg) {
-    for (Pipeline& p : pipelines_) p.Run(cfg);
-  }
-
-  const std::vector<Pipeline>& pipelines() const { return pipelines_; }
-
- private:
-  std::vector<std::unique_ptr<Operator>> ops_;
-  std::vector<Pipeline> pipelines_;
+/// Explore/exploit pacing for IsaMode::kAdaptive.
+struct AdaptiveParams {
+  /// K: timed chunks per variant per explore round. At low selectivity the
+  /// post-scan batches shrink to a few tuples, so a round's fresh sample
+  /// must span several chunks or timing jitter drowns the real ranking and
+  /// near-tie variants flip-flop.
+  uint32_t explore_chunks = 4;
+  /// M: chunks (build blocks) run on the round's winner before
+  /// re-exploring; the fused probe grows its exploit spans from 16
+  /// chunks up to max(M, half the grid).
+  uint32_t exploit_chunks = 1020;
+  /// Test hook: force the exploit winner to rotate deterministically every
+  /// round (round % n_variants) instead of following the timings, so tests
+  /// can prove byte-identity across guaranteed mid-query switches.
+  bool rotate_for_testing = false;
 };
+
+class AdaptiveDispatcher;
+class AdaptiveState;
+
+/// Per-run execution parameters, shared by every pipeline of a query.
+/// The defaults serve the paper's kernels: the host's widest ISA as the
+/// anchor (clamped again at plan build by EffectiveIsa), chosen per
+/// pipeline by measurement. Pin `isa_mode = kStatic` to run `isa` alone.
+struct ExecConfig {
+  Isa isa = BestIsa();
+  int threads = 1;
+  /// Tuples per chunk (any value >= 1; tests sweep odd sizes).
+  size_t chunk_tuples = kDefaultChunkTuples;
+  /// Placement policy for breaker intermediates (materialized build sides,
+  /// partition outputs). Probe-shared structures (table bank, bloom words)
+  /// are always interleaved.
+  numa::Placement placement = numa::Placement::kNodeLocal;
+  uint64_t seed = 42;
+  /// Selects nothing (see PipelineMode).
+  PipelineMode pipeline_mode = PipelineMode::kAuto;
+  IsaMode isa_mode = IsaMode::kAdaptive;
+  AdaptiveParams adaptive;
+  /// Set by RunScanJoinAggregate while isa_mode == kAdaptive; the fused
+  /// probe and the build-side table insert consult it when non-null. Borrowed — owned by the query runner for the run.
+  AdaptiveDispatcher* dispatcher = nullptr;
+  /// Adaptive decisions that outlive the query (exec/adaptive.h): when
+  /// non-null under kAdaptive, the query's dispatcher starts from this
+  /// state and publishes its own decisions back when the query ends.
+  /// nullptr: every query explores from scratch. Borrowed — the server's
+  /// QueryScheduler owns one per bound (build, probe, storage) key.
+  AdaptiveState* adaptive_state = nullptr;
+};
+
+/// How a scan represents qualifying tuples. kCompact drives the paper's
+/// SelectionScan kernels (dense output); kBitmap evaluates the predicate
+/// into a lane-local bitmap and gathers the qualifiers from the base
+/// columns — the sel/bitmap-duality path.
+enum class ScanMode { kCompact, kBitmap };
+
+/// The scan variant an ISA maps to in the executor (store-direct family:
+/// batch outputs are L1-resident, so the indirect streaming variants have
+/// nothing to win).
+ScanVariant ScanVariantForIsa(Isa isa);
 
 /// The Q3-shaped plan: build relation R(pk, attr) filtered by pk in
 /// [r_lo, r_hi], probe relation S(fk, val) filtered by val in [s_lo, s_hi],
@@ -72,17 +114,16 @@ struct ScanJoinAggregatePlan {
 
   /// Compressed base tables (compress/column.h). Setting a side's pair
   /// replaces that side's raw pointers: the plan scans it through the
-  /// scan-over-compressed front-end (CompressedScanOp, or
-  /// FusedScanCompressed on the fused path), the row count comes from the
-  /// columns, and the result stays byte-identical to the raw-column plan.
-  /// Either side may be compressed independently.
+  /// scan-over-compressed source (FusedScanCompressed), the row count
+  /// comes from the columns, and the result stays byte-identical to the
+  /// raw-column plan. Either side may be compressed independently.
   const compress::CompressedColumn* r_keys_c = nullptr;
   const compress::CompressedColumn* r_attrs_c = nullptr;
   const compress::CompressedColumn* s_fks_c = nullptr;
   const compress::CompressedColumn* s_vals_c = nullptr;
 
   /// kCompact drives the SelectionScan kernels; kBitmap evaluates the
-  /// predicate into chunk bitmaps and materializes downstream.
+  /// predicate into bitmaps and gathers the qualifiers.
   ScanMode scan_mode = ScanMode::kCompact;
   /// 0 disables the Bloom semi-join before the probe.
   int bloom_bits_per_key = 0;
@@ -107,30 +148,13 @@ struct QueryResult {
   uint64_t rows_bloomed = 0; ///< S rows surviving the Bloom probe
   uint64_t rows_joined = 0;  ///< join matches fed to the group-by
 
-  /// True when the probe side ran the template-fused pipeline (exec/
-  /// fused.h) instead of the dynamic Operator chain. The result rows are
-  /// byte-identical either way; this only records which executor ran.
-  bool used_fused = false;
+  /// Always true: every plan runs fused (see PipelineMode).
+  bool used_fused = true;
 };
 
-/// Appends the plan's build pipeline to `q`: R scan -> [materialize] ->
-/// hash build (breaker), and returns the breaker. Shared by RunDynamic,
-/// RunFused, and external drivers that assemble probe sides themselves
-/// (exec/shared_scan.h).
-HashBuildOp* AddBuildPipeline(Query& q, const ScanJoinAggregatePlan& plan);
-
-/// True when a fused instantiation exists for the plan's probe-side shape:
-/// scan -> [bloom] -> join probe -> group-by, in either scan mode, on any
-/// ISA. A partition barrier breaks the stream mid-pipeline, so partitioned
-/// plans route to the dynamic executor.
-bool FusedPlanSupported(const ScanJoinAggregatePlan& plan);
-
-/// Assembles and runs the plan end to end on the shared TaskPool. Under
-/// PipelineMode kAuto/kFused a supported plan runs its probe side through
-/// the template-fused pipeline (build side and unsupported shapes use the
-/// dynamic executor); kDynamic forces the dynamic chain everywhere. The
-/// whole-query wall time is recorded into the `exec_fused_ns` or
-/// `exec_dynamic_ns` phase timer according to the path taken.
+/// Runs the plan end to end on the shared TaskPool: the build pipeline,
+/// then the probe pipeline (split at the partition barrier when the plan
+/// has one). The whole-query wall time is recorded into `exec_fused_ns`.
 QueryResult RunScanJoinAggregate(const ScanJoinAggregatePlan& plan,
                                  const ExecConfig& cfg);
 

@@ -46,7 +46,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "exec/query.h"
 #include "net/protocol.h"
 #include "server/catalog.h"
 #include "server/scheduler.h"

@@ -28,7 +28,7 @@ uint32_t ThisThreadShard() {
   return shard;
 }
 
-thread_local QueryMetricSink* g_tls_sink = nullptr;
+constinit thread_local QueryMetricSink* g_tls_sink = nullptr;
 
 void SinkAdd(uint32_t id, uint64_t delta) {
   // Callers re-check g_tls_sink inline; this out-of-line body keeps the

@@ -52,8 +52,11 @@ uint32_t ThisThreadShard();          // stable per-thread shard index
 
 /// Attribution sink of the current thread (see QueryMetricSink). Plain
 /// thread_local pointer: one load + predictable branch on the metrics-on
-/// path, nothing when metrics are off.
-extern thread_local QueryMetricSink* g_tls_sink;
+/// path, nothing when metrics are off. constinit tells every including TU
+/// the variable is constant-initialized, so accesses go straight to the
+/// TLS slot instead of through a dynamic-init wrapper (whose address
+/// UBSan reported as a null store).
+extern constinit thread_local QueryMetricSink* g_tls_sink;
 
 void SinkAdd(uint32_t id, uint64_t delta);  // adds to g_tls_sink if set
 }  // namespace detail

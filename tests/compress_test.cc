@@ -323,24 +323,19 @@ TEST(CompressScanTest, CompressedPlanIdenticalToRaw) {
     for (Isa isa : SupportedIsas()) {
       for (int threads : {1, 8}) {
         for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-          for (auto pm : {exec::PipelineMode::kDynamic,
-                          exec::PipelineMode::kFused}) {
-            raw.scan_mode = comp.scan_mode = mode;
-            ExecConfig cfg;
-            cfg.isa = isa;
-            cfg.isa_mode = exec::IsaMode::kStatic;  // per-ISA sweep
-            cfg.threads = threads;
-            cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
-            cfg.pipeline_mode = pm;
-            const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
-            const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
-            ExpectIdentical(
-                got, want,
-                std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
-                    (mode == ScanMode::kBitmap ? " bitmap" : " compact") +
-                    (pm == exec::PipelineMode::kFused ? " fused" : " dyn") +
-                    (clustered ? " clustered" : " uniform"));
-          }
+          raw.scan_mode = comp.scan_mode = mode;
+          ExecConfig cfg;
+          cfg.isa = isa;
+          cfg.isa_mode = exec::IsaMode::kStatic;  // per-ISA sweep
+          cfg.threads = threads;
+          cfg.chunk_tuples = 257;  // sub-block grid: exercises the cache
+          const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
+          const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
+          ExpectIdentical(
+              got, want,
+              std::string(IsaName(isa)) + " t=" + std::to_string(threads) +
+                  (mode == ScanMode::kBitmap ? " bitmap" : " compact") +
+                  (clustered ? " clustered" : " uniform"));
         }
       }
     }
@@ -357,7 +352,6 @@ TEST(CompressScanTest, ZoneMapSkipsBlocksOnClusteredInput) {
     ScopedMetrics metrics;
     ExecConfig cfg;
     cfg.isa = SupportedIsas().back();
-    cfg.pipeline_mode = exec::PipelineMode::kDynamic;
     (void)exec::RunScanJoinAggregate(plan, cfg);
     const uint64_t skipped = Metric("blocks_skipped");
     const uint64_t all_pass = Metric("blocks_all_pass");
@@ -376,22 +370,22 @@ TEST(CompressScanTest, AdaptiveModeRoutesCompressedScans) {
   CompressedQueryData d(2048, 50'000, /*clustered_vals=*/false);
   ScanJoinAggregatePlan raw = d.RawPlan();
   ScanJoinAggregatePlan comp = d.CompressedPlan();
-  for (auto pm : {exec::PipelineMode::kDynamic, exec::PipelineMode::kFused}) {
+  for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+    raw.scan_mode = comp.scan_mode = mode;
     ExecConfig cfg;
     cfg.isa = SupportedIsas().back();
     cfg.threads = 8;
     cfg.isa_mode = exec::IsaMode::kAdaptive;
-    cfg.pipeline_mode = pm;
-    // Force guaranteed winner rotation: every scan variant (ISA x mode)
-    // runs mid-query, so identity here proves the compressed scan is
-    // switch-safe on any chunk boundary like every other operator.
+    // Force guaranteed winner rotation: every per-ISA variant runs
+    // mid-query, so identity here proves the compressed scan is
+    // switch-safe on any chunk boundary like every other source.
     cfg.adaptive.rotate_for_testing = true;
     cfg.adaptive.exploit_chunks = 8;
     const QueryResult want = exec::RunScanJoinAggregate(raw, cfg);
     const QueryResult got = exec::RunScanJoinAggregate(comp, cfg);
     ExpectIdentical(got, want,
-                    pm == exec::PipelineMode::kFused ? "adaptive fused"
-                                                     : "adaptive dynamic");
+                    mode == ScanMode::kBitmap ? "adaptive bitmap"
+                                              : "adaptive compact");
   }
 }
 

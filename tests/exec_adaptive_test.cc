@@ -2,9 +2,8 @@
 // adaptive dispatcher must be invisible in results — byte-identical
 // QueryResult against the static executor and the scalar std::map reference
 // across ISA anchors x threads {1, 8} x chunk {257, 1024} x scan mode x
-// executor path x edge input sizes, under a seeded rotate-for-testing
-// schedule that provably switches the winner mid-query inside a
-// morsel-parallel grid. Also covered: the explore/exploit schedule itself,
+// edge input sizes, under a seeded rotate-for-testing schedule that
+// provably switches the winner mid-query inside a morsel-parallel grid. Also covered: the explore/exploit schedule itself,
 // the adaptive observability counters, static mode keeping them at zero,
 // the ISA capability degrade path (SetCpuCapsForTesting) that turns an
 // unsupported Isa::kAvx512 request into the best supported backend instead
@@ -23,7 +22,6 @@
 
 #include "core/isa.h"
 #include "exec/adaptive.h"
-#include "exec/pipeline.h"
 #include "exec/query.h"
 #include "obs/metrics.h"
 #include "util/aligned_buffer.h"
@@ -39,7 +37,6 @@ using exec::AdaptiveState;
 using exec::ExecConfig;
 using exec::IsaMode;
 using exec::OpKind;
-using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
 using exec::ScanMode;
@@ -163,12 +160,11 @@ std::vector<Isa> SupportedIsas() {
 /// mid-query switches on any grid longer than one round, including inside
 /// a morsel-parallel ParallelFor.
 ExecConfig AdaptiveTestConfig(Isa anchor, int threads, size_t chunk,
-                              PipelineMode pmode, uint64_t seed) {
+                              uint64_t seed) {
   ExecConfig cfg;
   cfg.isa = anchor;
   cfg.threads = threads;
   cfg.chunk_tuples = chunk;
-  cfg.pipeline_mode = pmode;
   cfg.isa_mode = IsaMode::kAdaptive;
   cfg.adaptive.explore_chunks = 1;
   cfg.adaptive.exploit_chunks = 2;
@@ -187,21 +183,21 @@ TEST(ExecAdaptiveScheduleTest, ExploreCoversEveryVariantEachRound) {
   cfg.adaptive.explore_chunks = 2;
   cfg.adaptive.exploit_chunks = 3;
   AdaptiveDispatcher d(cfg, ScanMode::kCompact);
-  const int v = d.num_variants(OpKind::kScan);
-  ASSERT_GE(v, 2);  // mode axis alone gives compact + bitmap
+  const int v = d.num_variants(OpKind::kBuild);
+  if (v < 2) GTEST_SKIP() << "host has a single build variant";
   // One full round: every variant must be explored exactly
   // explore_chunks times, then the exploit tail runs a single winner.
   std::vector<int> explored(static_cast<size_t>(v), 0);
   for (int i = 0; i < 2 * v; ++i) {
-    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kScan);
+    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBuild);
     ASSERT_TRUE(t.explore) << "slot " << i;
     explored[static_cast<size_t>(t.variant)]++;
-    d.Report(OpKind::kScan, t.variant, 100, 1000);
+    d.Report(OpKind::kBuild, t.variant, 100, 1000);
   }
   for (int i = 0; i < v; ++i) EXPECT_EQ(explored[static_cast<size_t>(i)], 2);
   int winner = -1;
   for (int i = 0; i < 3; ++i) {
-    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kScan);
+    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBuild);
     EXPECT_FALSE(t.explore);
     if (winner < 0) winner = t.variant;
     EXPECT_EQ(t.variant, winner);  // exploit sticks to one winner
@@ -214,16 +210,15 @@ TEST(ExecAdaptiveScheduleTest, FastestVariantWinsAndSwitchCounts) {
   cfg.adaptive.explore_chunks = 1;
   cfg.adaptive.exploit_chunks = 1;
   AdaptiveDispatcher d(cfg, ScanMode::kCompact);
-  const int v = d.num_variants(OpKind::kBloomProbe);
-  if (v < 2) GTEST_SKIP() << "host has a single bloom-probe variant";
+  const int v = d.num_variants(OpKind::kBuild);
+  if (v < 2) GTEST_SKIP() << "host has a single build variant";
   // Make variant v-1 clearly cheapest per tuple.
   for (int i = 0; i < v; ++i) {
-    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBloomProbe);
+    AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBuild);
     ASSERT_TRUE(t.explore);
-    d.Report(OpKind::kBloomProbe, t.variant,
-             t.variant == v - 1 ? 10 : 1000, 1000);
+    d.Report(OpKind::kBuild, t.variant, t.variant == v - 1 ? 10 : 1000, 1000);
   }
-  AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBloomProbe);
+  AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBuild);
   EXPECT_FALSE(t.explore);
   EXPECT_EQ(t.variant, v - 1);
   if (v > 1) {
@@ -238,15 +233,15 @@ TEST(ExecAdaptiveScheduleTest, RotateForTestingForcesRoundRobinWinners) {
   cfg.adaptive.exploit_chunks = 1;
   cfg.adaptive.rotate_for_testing = true;
   AdaptiveDispatcher d(cfg, ScanMode::kCompact);
-  const int v = d.num_variants(OpKind::kScan);
-  ASSERT_GE(v, 2);
+  const int v = d.num_variants(OpKind::kBuild);
+  if (v < 2) GTEST_SKIP() << "host has a single build variant";
   std::vector<int> winners;
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < v; ++i) {
-      AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kScan);
-      d.Report(OpKind::kScan, t.variant, 100, 1000);
+      AdaptiveDispatcher::Ticket t = d.Acquire(OpKind::kBuild);
+      d.Report(OpKind::kBuild, t.variant, 100, 1000);
     }
-    winners.push_back(d.Acquire(OpKind::kScan).variant);  // exploit slot
+    winners.push_back(d.Acquire(OpKind::kBuild).variant);  // exploit slot
   }
   EXPECT_EQ(winners[0], 0 % v);
   EXPECT_EQ(winners[1], 1 % v);
@@ -269,36 +264,31 @@ TEST(ExecAdaptiveTest, ByteIdentityAcrossMatrix) {
       for (int threads : {1, 8}) {
         for (size_t chunk : {size_t{257}, size_t{1024}}) {
           for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-            for (PipelineMode pmode :
-                 {PipelineMode::kDynamic, PipelineMode::kFused}) {
-              plan.scan_mode = mode;
-              // Two different seeds rotate the explore order differently,
-              // so switches land on different chunk boundaries. cfg.seed
-              // also seeds the bloom filter / hash table, so the static
-              // reference must share it — only the schedule may differ.
-              for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
-                ExecConfig static_cfg;
-                static_cfg.isa = anchor;
-                static_cfg.isa_mode = IsaMode::kStatic;
-                static_cfg.threads = threads;
-                static_cfg.chunk_tuples = chunk;
-                static_cfg.pipeline_mode = pmode;
-                static_cfg.seed = seed;
-                const QueryResult ref =
-                    exec::RunScanJoinAggregate(plan, static_cfg);
-                const ExecConfig cfg = AdaptiveTestConfig(
-                    anchor, threads, chunk, pmode, seed);
-                const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-                const std::string label =
-                    "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
-                    " " + IsaName(anchor) + " t=" + std::to_string(threads) +
-                    " c=" + std::to_string(chunk) +
-                    " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
-                    (pmode == PipelineMode::kFused ? " fused" : " dynamic") +
-                    " seed=" + std::to_string(seed);
-                ExpectIdentical(got, ref, label + " adaptive vs static");
-                ExpectMatchesReference(got, want, label + " vs reference");
-              }
+            plan.scan_mode = mode;
+            // Two different seeds rotate the explore order differently, so
+            // switches land on different chunk boundaries. cfg.seed also
+            // seeds the bloom filter / hash table, so the static reference
+            // must share it — only the schedule may differ.
+            for (uint64_t seed : {uint64_t{1}, uint64_t{42}}) {
+              ExecConfig static_cfg;
+              static_cfg.isa = anchor;
+              static_cfg.isa_mode = IsaMode::kStatic;
+              static_cfg.threads = threads;
+              static_cfg.chunk_tuples = chunk;
+              static_cfg.seed = seed;
+              const QueryResult ref =
+                  exec::RunScanJoinAggregate(plan, static_cfg);
+              const ExecConfig cfg =
+                  AdaptiveTestConfig(anchor, threads, chunk, seed);
+              const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+              const std::string label =
+                  "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
+                  " " + IsaName(anchor) + " t=" + std::to_string(threads) +
+                  " c=" + std::to_string(chunk) +
+                  " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact") +
+                  " seed=" + std::to_string(seed);
+              ExpectIdentical(got, ref, label + " adaptive vs static");
+              ExpectMatchesReference(got, want, label + " vs reference");
             }
           }
         }
@@ -308,29 +298,30 @@ TEST(ExecAdaptiveTest, ByteIdentityAcrossMatrix) {
 }
 
 TEST(ExecAdaptiveTest, SwitchesHappenInsideMorselGrid) {
-  // 4097 tuples / 257-tuple chunks = 16 chunks; the rotate schedule's round
-  // is v_explore + 2 slots, so several rounds (and forced winner changes)
-  // land inside one morsel-parallel grid.
+  // 4097 tuples / 64-tuple chunks = 65 chunks; the rotate schedule's first
+  // two rounds (v explore chunks + a 16-chunk exploit span, then v + 32)
+  // fit inside the grid, so the forced winner change of round 1 lands
+  // inside one morsel-parallel dispatch.
   ScopedMetrics metrics;
   QueryData d(1024, 4097);
   ScanJoinAggregatePlan plan = d.Plan();
   const auto want = MapReference(d, plan);
-  const ExecConfig cfg = AdaptiveTestConfig(Isa::kScalar, 8, 257,
-                                            PipelineMode::kDynamic, 42);
+  const ExecConfig cfg = AdaptiveTestConfig(Isa::kScalar, 8, 64, 42);
   const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
   ExpectMatchesReference(got, want, "switch-mid-grid");
-  EXPECT_GE(Metric("adaptive_switches"), 1u);
   EXPECT_GE(Metric("explore_chunks"), 1u);
-  // The rotate schedule ran at least two scan variants, so at least two
-  // cells of the chosen-variant histogram must be populated.
-  int populated = 0;
-  for (const char* name :
-       {"chosen_scan_scalar_compact", "chosen_scan_scalar_bitmap",
-        "chosen_scan_avx2_compact", "chosen_scan_avx2_bitmap",
-        "chosen_scan_avx512_compact", "chosen_scan_avx512_bitmap"}) {
-    if (Metric(name) > 0) ++populated;
+  if (IsaSupported(Isa::kAvx2)) {
+    EXPECT_GE(Metric("adaptive_switches"), 1u);
+    // The exploit spans ran at least two fused variants, so at least two
+    // cells of the chosen-variant histogram must be populated.
+    int populated = 0;
+    for (const char* name :
+         {"chosen_fused_scalar_compact", "chosen_fused_avx2_compact",
+          "chosen_fused_avx512_compact"}) {
+      if (Metric(name) > 0) ++populated;
+    }
+    EXPECT_GE(populated, 2);
   }
-  EXPECT_GE(populated, 2);
 }
 
 TEST(ExecAdaptiveTest, FusedWindowsSwitchInstantiations) {
@@ -341,10 +332,8 @@ TEST(ExecAdaptiveTest, FusedWindowsSwitchInstantiations) {
   QueryData d(1024, 26'000);
   ScanJoinAggregatePlan plan = d.Plan();
   const auto want = MapReference(d, plan);
-  const ExecConfig cfg = AdaptiveTestConfig(Isa::kScalar, 8, 257,
-                                            PipelineMode::kFused, 42);
+  const ExecConfig cfg = AdaptiveTestConfig(Isa::kScalar, 8, 257, 42);
   const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-  EXPECT_TRUE(got.used_fused);
   ExpectMatchesReference(got, want, "fused-adaptive");
   EXPECT_GE(Metric("adaptive_switches"), 1u);
   int populated = 0;
@@ -360,11 +349,11 @@ TEST(ExecAdaptiveTest, FusedWindowsSwitchInstantiations) {
 TEST(ExecAdaptiveTest, StaticModeKeepsAdaptiveCountersZero) {
   QueryData d(1024, 10'000);
   ScanJoinAggregatePlan plan = d.Plan();
-  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
+  for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
     ScopedMetrics metrics;
+    plan.scan_mode = mode;
     ExecConfig cfg;
     cfg.isa_mode = IsaMode::kStatic;  // the default is adaptive
-    cfg.pipeline_mode = pmode;
     const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
     ASSERT_FALSE(got.group_keys.empty());
     EXPECT_EQ(Metric("adaptive_switches"), 0u);
@@ -410,14 +399,18 @@ TEST(ExecAdaptiveStateTest, PublishThenSeedRoundTrip) {
   ASSERT_TRUE(fused.valid);
   // The cold schedule grew its exploit span past the 16-chunk start.
   EXPECT_GT(fused.exploit_span, 16u);
-  // The fused plan never ran the dynamic probe-side kinds.
-  EXPECT_FALSE(saved.ops[static_cast<int>(OpKind::kJoinProbe)].valid);
+  // The block-paced build kind persists its winner too, but no span.
+  const auto& build = saved.ops[static_cast<int>(OpKind::kBuild)];
+  if (IsaSupported(Isa::kAvx2)) {  // a single variant is never scheduled
+    ASSERT_TRUE(build.valid);
+    EXPECT_EQ(build.exploit_span, 0u);
+  }
 
   cfg.adaptive_state = &state;
   cfg.isa = Isa::kScalar;  // a different anchor still finds the winner
   const AdaptiveDispatcher seeded(cfg, ScanMode::kCompact);
   EXPECT_TRUE(seeded.warm(OpKind::kFusedWindow));
-  EXPECT_FALSE(seeded.warm(OpKind::kJoinProbe));
+  EXPECT_EQ(seeded.warm(OpKind::kBuild), build.valid);
   EXPECT_EQ(seeded.current(OpKind::kFusedWindow).isa, fused.winner.isa);
   EXPECT_EQ(seeded.exploit_span(OpKind::kFusedWindow), fused.exploit_span);
 
@@ -430,28 +423,23 @@ TEST(ExecAdaptiveStateTest, PublishThenSeedRoundTrip) {
 TEST(ExecAdaptiveStateTest, WarmQueriesExploreLessAndStayExact) {
   ScopedMetrics metrics;
   QueryData d(4096, 262144);
-  for (PipelineMode pmode : {PipelineMode::kFused, PipelineMode::kDynamic}) {
-    for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
-      ScanJoinAggregatePlan plan = d.Plan();
-      plan.scan_mode = mode;
-      ExecConfig cfg;
-      cfg.pipeline_mode = pmode;
-      AdaptiveState state;
-      const std::vector<uint64_t> warm =
-          ExploreChunksPerQuery(d, plan, cfg, &state, 4);
-      const std::string ctx =
-          std::string(pmode == PipelineMode::kFused ? "fused" : "dynamic") +
-          (mode == ScanMode::kBitmap ? " bitmap" : " compact");
-      ASSERT_GT(warm[0], 0u) << ctx;
-      for (size_t q = 1; q < warm.size(); ++q) {
-        EXPECT_LT(warm[q], warm[0]) << ctx << " query " << q;
-      }
-      // Without a state every query explores like the first.
-      const std::vector<uint64_t> cold =
-          ExploreChunksPerQuery(d, plan, cfg, nullptr, 2);
-      EXPECT_EQ(cold[0], warm[0]) << ctx;
-      EXPECT_EQ(cold[1], cold[0]) << ctx;
+  for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+    ScanJoinAggregatePlan plan = d.Plan();
+    plan.scan_mode = mode;
+    const ExecConfig cfg;
+    AdaptiveState state;
+    const std::vector<uint64_t> warm =
+        ExploreChunksPerQuery(d, plan, cfg, &state, 4);
+    const std::string ctx = mode == ScanMode::kBitmap ? "bitmap" : "compact";
+    ASSERT_GT(warm[0], 0u) << ctx;
+    for (size_t q = 1; q < warm.size(); ++q) {
+      EXPECT_LT(warm[q], warm[0]) << ctx << " query " << q;
     }
+    // Without a state every query explores like the first.
+    const std::vector<uint64_t> cold =
+        ExploreChunksPerQuery(d, plan, cfg, nullptr, 2);
+    EXPECT_EQ(cold[0], warm[0]) << ctx;
+    EXPECT_EQ(cold[1], cold[0]) << ctx;
   }
 }
 
@@ -467,8 +455,6 @@ TEST(ExecAdaptiveStateTest, ConcurrentPublishersStayExact) {
     workers.emplace_back([&, i] {
       ExecConfig cfg;
       cfg.threads = i % 2 == 0 ? 1 : 8;
-      cfg.pipeline_mode = i % 4 < 2 ? PipelineMode::kAuto
-                                    : PipelineMode::kDynamic;
       cfg.adaptive_state = &state;
       for (int q = 0; q < 3; ++q) {
         ExpectMatchesReference(exec::RunScanJoinAggregate(plan, cfg), want,
@@ -507,11 +493,11 @@ TEST(ExecAdaptiveIsaDegradeTest, UnsupportedRequestDegradesInsteadOfSigill) {
   const auto want = MapReference(d, plan);
   ExecConfig cfg;
   cfg.isa = Isa::kAvx512;  // would SIGILL if trusted on this "host"
-  for (PipelineMode pmode : {PipelineMode::kDynamic, PipelineMode::kFused}) {
-    cfg.pipeline_mode = pmode;
+  for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
+    plan.scan_mode = mode;
     const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
     ExpectMatchesReference(got, want,
-                           pmode == PipelineMode::kFused ? "fused" : "dynamic");
+                           mode == ScanMode::kBitmap ? "bitmap" : "compact");
   }
   EXPECT_GE(Metric("isa_degraded"), 2u);
 }
@@ -549,14 +535,12 @@ TEST(ExecAdaptiveIsaDegradeTest, AdaptiveVariantListHonorsCaps) {
   ExecConfig cfg;
   cfg.isa = Isa::kScalar;
   AdaptiveDispatcher d(cfg, ScanMode::kCompact);
-  // Scan axis: {compact, bitmap} x {scalar} only — no vector variants may
-  // enter the schedule on a host without them.
-  EXPECT_EQ(d.num_variants(OpKind::kScan), 2);
-  EXPECT_EQ(d.num_variants(OpKind::kBloomProbe), 1);
+  // {scalar} only — no vector variants may enter either schedule on a
+  // host without them.
+  EXPECT_EQ(d.num_variants(OpKind::kFusedWindow), 1);
   EXPECT_EQ(d.num_variants(OpKind::kBuild), 1);
-  for (int v = 0; v < d.num_variants(OpKind::kScan); ++v) {
-    EXPECT_EQ(d.variant(OpKind::kScan, v).isa, Isa::kScalar);
-  }
+  EXPECT_EQ(d.variant(OpKind::kFusedWindow, 0).isa, Isa::kScalar);
+  EXPECT_EQ(d.variant(OpKind::kBuild, 0).isa, Isa::kScalar);
 }
 
 }  // namespace

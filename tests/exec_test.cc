@@ -1,16 +1,13 @@
 // Execution subsystem tests (src/exec/): bitmap <-> selection converter
-// properties against the scalar reference on every ISA, Chunk visibility
-// state machinery, and the acceptance bar for the push-based executor —
-// the scan -> bloom -> join -> group-by plan produces byte-identical
-// canonical results across ISAs, thread counts {1, 8}, chunk sizes
-// (including non-chunk-multiple and degenerate inputs n in {0, 1, 1023}),
-// scan modes (compact vs bitmap), and breaker configurations, and matches
-// a hand-composed serial operator sequence over the same kernels. The
-// template-fused executor (exec/fused.h) is held to the same bar: the
-// ExecFusedTest matrix proves the fused path byte-identical to the forced
-// dynamic path across ISA x threads x chunk size x scan mode x edge input
-// sizes, and the fallback test proves unsupported shapes route to the
-// dynamic pipeline (observed via pipelines_fused / pipelines_dynamic).
+// properties against the scalar reference on every ISA, the fused
+// two-column gather, and the acceptance bar for the fused engine — the
+// scan -> bloom -> join -> group-by plan produces byte-identical canonical
+// results across ISAs, thread counts {1, 8}, chunk sizes (including
+// non-chunk-multiple and degenerate inputs n in {0, 1, 1023}), scan modes
+// (compact vs bitmap), storage, and breaker configurations, and matches
+// both a hand-composed serial kernel sequence and a std::map reference.
+// The engine's counters (chunks_pushed, pipelines_fused) are checked
+// against exact plan shapes.
 
 #include <gtest/gtest.h>
 
@@ -27,7 +24,7 @@
 #include "compress/column.h"
 #include "core/isa.h"
 #include "exec/chunk.h"
-#include "exec/pipeline.h"
+#include "exec/fused.h"
 #include "exec/query.h"
 #include "hash/linear_probing.h"
 #include "obs/metrics.h"
@@ -39,16 +36,13 @@
 namespace simddb {
 namespace {
 
-using exec::Chunk;
 using exec::ChunkCapacity;
 using exec::ChunkBitmapWords;
 using exec::ExecConfig;
 using exec::IsaMode;
-using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
 using exec::ScanMode;
-using exec::SelKind;
 
 uint64_t Metric(const char* name) {
   for (const obs::MetricSample& s : obs::MetricsRegistry::Get().Snapshot()) {
@@ -161,40 +155,54 @@ INSTANTIATE_TEST_SUITE_P(AllIsas, ExecChunkIsaTest,
                          });
 
 TEST(ExecChunkTest, CompactGathersEveryColumn) {
-  const size_t n = 1000;
-  Chunk c(n, 3);
-  for (int col = 0; col < 3; ++col) {
+  // The fused gather (bitmap-mode scans) pulls both columns through one
+  // selection vector, on every ISA, including a sub-vector tail.
+  for (size_t n : {size_t{0}, size_t{1}, size_t{17}, size_t{1000}}) {
+    AlignedBuffer<uint32_t> a(ChunkCapacity(n)), b(ChunkCapacity(n));
     for (size_t i = 0; i < n; ++i) {
-      c.col(col)[i] = static_cast<uint32_t>(1000 * col + i);
+      a[i] = static_cast<uint32_t>(i);
+      b[i] = static_cast<uint32_t>(1000 + i);
     }
-  }
-  size_t cnt = 0;
-  for (size_t i = 0; i < n; i += 3) c.sel()[cnt++] = static_cast<uint32_t>(i);
-  c.SetSelection(n, cnt);
-  c.Compact(Isa::kScalar);
-  ASSERT_EQ(c.kind(), SelKind::kDense);
-  ASSERT_EQ(c.size(), cnt);
-  for (int col = 0; col < 3; ++col) {
-    for (size_t j = 0; j < cnt; ++j) {
-      ASSERT_EQ(c.col(col)[j], 1000u * col + 3 * j) << col << "," << j;
+    std::vector<uint32_t> sel;
+    for (size_t i = 0; i < n; i += 3) sel.push_back(static_cast<uint32_t>(i));
+    for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+      if (!IsaSupported(isa)) continue;
+      AlignedBuffer<uint32_t> out_a(ChunkCapacity(n)), out_b(ChunkCapacity(n));
+      exec::detail::GatherPair(isa, a.data(), b.data(), sel.data(),
+                               sel.size(), out_a.data(), out_b.data());
+      for (size_t j = 0; j < sel.size(); ++j) {
+        ASSERT_EQ(out_a[j], 3 * j) << IsaName(isa) << " n=" << n << " @" << j;
+        ASSERT_EQ(out_b[j], 1000 + 3 * j) << IsaName(isa) << " @" << j;
+      }
     }
   }
 }
 
 TEST(ExecChunkTest, MaterializeCountsConversions) {
-  ScopedMetrics metrics;
+  // A fully active chunk round-trips selection -> bitmap -> selection with
+  // every count preserved, and a range predicate covering every value
+  // produces the same all-ones bitmap.
   const size_t n = 256;
-  Chunk c(n, 1);
-  for (size_t i = 0; i < n; ++i) c.col(0)[i] = static_cast<uint32_t>(i);
-  c.SetDense(n);
-  c.MaterializeBitmap(Isa::kScalar);  // dense -> all-ones bitmap
-  ASSERT_EQ(c.kind(), SelKind::kBitmap);
-  ASSERT_EQ(c.active(), n);
-  c.MaterializeSelection(Isa::kScalar);
-  ASSERT_EQ(c.kind(), SelKind::kSelection);
-  ASSERT_EQ(c.active(), n);
-  EXPECT_EQ(Metric("sel_to_bitmap"), 1u);
-  EXPECT_EQ(Metric("bitmap_to_sel"), 1u);
+  std::vector<uint32_t> all(n);
+  std::iota(all.begin(), all.end(), 0u);
+  AlignedBuffer<uint64_t> bitmap(ChunkBitmapWords(n) + 1);
+  exec::SelectionToBitmap(all.data(), n, n, bitmap.data());
+  for (size_t w = 0; w < ChunkBitmapWords(n); ++w) {
+    ASSERT_EQ(bitmap[w], ~uint64_t{0}) << "word " << w;
+  }
+  for (Isa isa : {Isa::kScalar, Isa::kAvx2, Isa::kAvx512}) {
+    if (!IsaSupported(isa)) continue;
+    AlignedBuffer<uint32_t> sel(ChunkCapacity(n));
+    ASSERT_EQ(exec::BitmapToSelection(isa, bitmap.data(), n, sel.data()), n);
+    for (size_t i = 0; i < n; ++i) ASSERT_EQ(sel[i], i);
+    AlignedBuffer<uint64_t> pred(ChunkBitmapWords(n) + 1);
+    ASSERT_EQ(exec::RangePredicateBitmap(isa, all.data(), n, 0, 0xFFFFFFFFu,
+                                         pred.data()),
+              n);
+    for (size_t w = 0; w < ChunkBitmapWords(n); ++w) {
+      ASSERT_EQ(pred[w], bitmap[w]) << IsaName(isa) << " word " << w;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -531,36 +539,51 @@ TEST(ExecQueryTest, CompressedStorageEdgeSizes) {
 }
 
 TEST(ExecPipelineTest, ChunksPushedAndConversionCounters) {
-  ScopedMetrics metrics;
   QueryData d(1024, 10'000);
   ScanJoinAggregatePlan plan = d.Plan();
   plan.scan_mode = ScanMode::kBitmap;
-  plan.bloom_bits_per_key = 10;
   ExecConfig cfg;
   cfg.chunk_tuples = 1024;
-  cfg.pipeline_mode = PipelineMode::kDynamic;  // asserts dynamic internals
-  const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-  ASSERT_FALSE(got.group_keys.empty());
-  // Source grids: 1 R chunk + 10 S chunks; every operator edge counts one
-  // push per chunk, so the total is at least the source chunk count and a
-  // bitmap-mode run converts every source chunk.
-  EXPECT_GE(Metric("chunks_pushed"), 11u);
-  EXPECT_GE(Metric("bitmap_to_sel"), 11u);
-  EXPECT_GT(Metric("exec_scan_ns"), 0u);
-  EXPECT_GT(Metric("exec_build_ns"), 0u);
-  EXPECT_GT(Metric("exec_probe_ns"), 0u);
-  EXPECT_GT(Metric("exec_groupby_ns"), 0u);
+  obs::EnableMetrics(false);
+  if (!obs::MetricsEnabled()) {  // not a metrics-forced build
+    // Metrics off: the per-lane push counts are never flushed.
+    obs::MetricsRegistry::Get().ResetAll();
+    exec::RunScanJoinAggregate(plan, cfg);
+    EXPECT_EQ(Metric("chunks_pushed"), 0u);
+  }
+  for (int bloom : {10, 0}) {
+    ScopedMetrics metrics;
+    plan.bloom_bits_per_key = bloom;
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    ASSERT_FALSE(got.group_keys.empty());
+    // Source grids: 1 R chunk into the build staging, 10 S chunks (none
+    // empty at ~10% selectivity) through bloom -> probe -> group-by. A
+    // null-filter bloom stage forwards without counting a push.
+    EXPECT_EQ(Metric("chunks_pushed"), bloom > 0 ? 1u + 10 * 3 : 1u + 10 * 2)
+        << "bloom=" << bloom;
+    EXPECT_EQ(Metric("pipelines_fused"), 2u);  // build + probe
+    EXPECT_GT(Metric("exec_fused_ns"), 0u);
+  }
+  {
+    // Empty source batches are dropped: a predicate selecting nothing in S
+    // leaves only the build-side push.
+    ScopedMetrics metrics;
+    plan.s_lo = plan.s_hi = 1'000'000;  // above every S value
+    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
+    EXPECT_TRUE(got.group_keys.empty());
+    EXPECT_EQ(Metric("chunks_pushed"), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------
-// Template-fused pipelines (exec/fused.h)
+// Fused engine coverage of every plan shape
 // ---------------------------------------------------------------------------
 
 TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
   // ISA x threads {1, 8} x chunk {257, 1024} x scan mode x edge input
-  // sizes n_s in {0, 1, 1023, 4097} plus one bulk shape. The forced
-  // dynamic run is the reference; the fused run must be byte-identical in
-  // every result row and every reported cardinality.
+  // sizes n_s in {0, 1, 1023, 4097} plus one bulk shape: every run matches
+  // the std::map reference and the hand-composed kernel sequence in every
+  // result row and reported cardinality.
   const std::pair<size_t, size_t> shapes[] = {
       {256, 0}, {256, 1}, {256, 1023}, {1024, 4097}, {4096, 60'000}};
   for (auto [nr, ns] : shapes) {
@@ -568,7 +591,15 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
     ScanJoinAggregatePlan plan = d.Plan();
     plan.bloom_bits_per_key = 10;
     const auto want = MapReference(d, plan);
+    uint64_t want_build = 0, want_scanned = 0;
+    for (size_t i = 0; i < nr; ++i) {
+      want_build += d.r_keys[i] >= plan.r_lo && d.r_keys[i] <= plan.r_hi;
+    }
+    for (size_t i = 0; i < ns; ++i) {
+      want_scanned += d.s_vals[i] >= plan.s_lo && d.s_vals[i] <= plan.s_hi;
+    }
     for (Isa isa : SupportedIsas()) {
+      const QueryResult hand = HandComposed(d, plan, isa);
       for (int threads : {1, 8}) {
         for (size_t chunk : {size_t{257}, size_t{1024}}) {
           for (ScanMode mode : {ScanMode::kCompact, ScanMode::kBitmap}) {
@@ -578,22 +609,18 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
             cfg.isa_mode = IsaMode::kStatic;  // per-ISA sweep
             cfg.threads = threads;
             cfg.chunk_tuples = chunk;
-            cfg.pipeline_mode = PipelineMode::kDynamic;
-            const QueryResult dyn = exec::RunScanJoinAggregate(plan, cfg);
-            cfg.pipeline_mode = PipelineMode::kFused;
-            const QueryResult fus = exec::RunScanJoinAggregate(plan, cfg);
+            const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
             const std::string label =
                 "nr=" + std::to_string(nr) + " ns=" + std::to_string(ns) +
                 " " + IsaName(isa) + " t=" + std::to_string(threads) +
                 " c=" + std::to_string(chunk) +
                 " m=" + (mode == ScanMode::kBitmap ? "bitmap" : "compact");
-            EXPECT_FALSE(dyn.used_fused) << label;
-            EXPECT_TRUE(fus.used_fused) << label;
-            ExpectIdentical(fus, dyn, label + " fused vs dynamic");
-            EXPECT_EQ(fus.rows_build, dyn.rows_build) << label;
-            EXPECT_EQ(fus.rows_scanned, dyn.rows_scanned) << label;
-            EXPECT_EQ(fus.rows_bloomed, dyn.rows_bloomed) << label;
-            ExpectMatchesReference(fus, want, label + " fused vs reference");
+            ExpectMatchesReference(got, want, label + " vs reference");
+            ExpectIdentical(got, hand, label + " vs hand-composed");
+            EXPECT_EQ(got.rows_build, want_build) << label;
+            EXPECT_EQ(got.rows_scanned, want_scanned) << label;
+            EXPECT_LE(got.rows_bloomed, got.rows_scanned) << label;
+            EXPECT_GE(got.rows_bloomed, got.rows_joined) << label;
           }
         }
       }
@@ -602,47 +629,40 @@ TEST(ExecFusedTest, FusedMatchesDynamicAcrossMatrix) {
 }
 
 TEST(ExecFusedTest, UnsupportedShapeFallsBackToDynamic) {
+  // Every plan shape runs on the fused engine — the partitioned, bitmap
+  // and compressed shapes included — and matches the reference.
   QueryData d(1024, 10'000);
-  ScanJoinAggregatePlan plan = d.Plan();
-  plan.bloom_bits_per_key = 10;
+  const auto r_keys_c = compress::CompressColumn(d.r_keys.data(), d.n_r);
+  const auto r_attrs_c = compress::CompressColumn(d.r_attrs.data(), d.n_r);
+  const auto s_fks_c = compress::CompressColumn(d.s_fks.data(), d.n_s);
+  const auto s_vals_c = compress::CompressColumn(d.s_vals.data(), d.n_s);
+  ScanJoinAggregatePlan base = d.Plan();
+  base.bloom_bits_per_key = 10;
+  const auto want = MapReference(d, base);
 
-  plan.partition_fanout = 16;  // mid-stream breaker: no fused instantiation
-  EXPECT_FALSE(exec::FusedPlanSupported(plan));
-  {
-    ScopedMetrics metrics;
-    ExecConfig cfg;  // kAuto
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_FALSE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 0u);
-    // build + scan..partition + partition..sink.
-    EXPECT_EQ(Metric("pipelines_dynamic"), 3u);
-    EXPECT_EQ(Metric("exec_fused_ns"), 0u);
-    EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
-  }
-
-  plan.partition_fanout = 0;  // supported shape under kAuto runs fused
-  EXPECT_TRUE(exec::FusedPlanSupported(plan));
-  {
-    ScopedMetrics metrics;
-    ExecConfig cfg;  // kAuto
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_TRUE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 1u);
-    // The build breaker still runs as a dynamic pipeline.
-    EXPECT_EQ(Metric("pipelines_dynamic"), 1u);
-    EXPECT_GT(Metric("exec_fused_ns"), 0u);
-    EXPECT_EQ(Metric("exec_dynamic_ns"), 0u);
-  }
-
-  {
+  struct Shape {
+    const char* name;
+    ScanJoinAggregatePlan plan;
+    uint64_t pipelines;
+  };
+  std::vector<Shape> shapes{{"compact", base, 2}};
+  shapes.push_back({"partitioned", base, 3});  // build, pre/post barrier
+  shapes.back().plan.partition_fanout = 16;
+  shapes.push_back({"bitmap", base, 2});
+  shapes.back().plan.scan_mode = ScanMode::kBitmap;
+  shapes.push_back({"compressed", base, 2});
+  shapes.back().plan.r_keys_c = &r_keys_c;
+  shapes.back().plan.r_attrs_c = &r_attrs_c;
+  shapes.back().plan.s_fks_c = &s_fks_c;
+  shapes.back().plan.s_vals_c = &s_vals_c;
+  for (const Shape& s : shapes) {
     ScopedMetrics metrics;
     ExecConfig cfg;
-    cfg.pipeline_mode = PipelineMode::kDynamic;  // forced dynamic
-    const QueryResult got = exec::RunScanJoinAggregate(plan, cfg);
-    EXPECT_FALSE(got.used_fused);
-    EXPECT_EQ(Metric("pipelines_fused"), 0u);
-    EXPECT_EQ(Metric("pipelines_dynamic"), 2u);  // build + probe
-    EXPECT_GT(Metric("exec_dynamic_ns"), 0u);
+    cfg.threads = 4;
+    const QueryResult got = exec::RunScanJoinAggregate(s.plan, cfg);
+    ExpectMatchesReference(got, want, s.name);
+    EXPECT_EQ(Metric("pipelines_fused"), s.pipelines) << s.name;
+    EXPECT_GT(Metric("exec_fused_ns"), 0u) << s.name;
   }
 }
 

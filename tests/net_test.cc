@@ -23,7 +23,7 @@
 #include <thread>
 #include <vector>
 
-#include "exec/pipeline.h"
+#include "exec/query.h"
 #include "net/client.h"
 #include "net/protocol.h"
 #include "net/server.h"
@@ -39,7 +39,6 @@ namespace simddb {
 namespace {
 
 using exec::ExecConfig;
-using exec::PipelineMode;
 using exec::ScanMode;
 using net::Client;
 using net::Command;

@@ -38,7 +38,6 @@ namespace {
 
 using exec::ExecConfig;
 using exec::IsaMode;
-using exec::PipelineMode;
 using exec::QueryResult;
 using exec::ScanJoinAggregatePlan;
 using exec::ScanMode;
@@ -361,7 +360,6 @@ TEST(ServerSharedScanTest, SharedSweepByteIdenticalToSolo) {
   ServerData d(4096, 131072, /*sequential_vals=*/true);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
 
   // Disjoint contiguous windows over the sequential val column.
   auto spec_for = [&](int i) {
@@ -409,7 +407,6 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   ServerData d(4096, 131072, /*sequential_vals=*/true);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
   auto spec_for = [&](int i) {
     QuerySpec spec;
     spec.build_table = "R";
@@ -430,7 +427,7 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
     ASSERT_TRUE(server::BindQuery(d.catalog, spec_for(i), &plan, &error));
     exec::RunScanJoinAggregate(plan, cfg);
   }
-  const uint64_t solo_pushed = Metric("chunks_pushed");
+  const uint64_t solo_morsels = Metric("morsels");
 
   SchedulerOptions opts;
   opts.shared_scans = true;
@@ -448,13 +445,17 @@ TEST(ServerSharedScanTest, SharedSweepPushesFewerChunksThanSoloScans) {
   for (auto& w : workers) w.join();
   for (const ResultSet& rs : got) ASSERT_TRUE(rs.ok) << rs.error;
 
-  const uint64_t shared_pushed = Metric("chunks_pushed") - solo_pushed;
+  const uint64_t shared_morsels = Metric("morsels") - solo_morsels;
   EXPECT_EQ(Metric("shared_sweeps"), 1u);  // one sweep fed all members
   EXPECT_EQ(Metric("shared_members"), static_cast<uint64_t>(kClients));
-  // Disjoint windows: each member's skip-empty scan pushes only its own
-  // chunk band, so the group pushes a fraction of N solo all-chunk scans.
-  EXPECT_LT(shared_pushed, solo_pushed / 2)
-      << "shared=" << shared_pushed << " solo=" << solo_pushed;
+  // One probe grid dispatched for N members: the group runs N build grids
+  // plus ONE 128-chunk probe grid, where N solo queries each run their own
+  // build and probe grids.
+  const uint64_t build_chunks = d.n_r / 1024, probe_chunks = d.n_s / 1024;
+  EXPECT_EQ(solo_morsels, kClients * (build_chunks + probe_chunks));
+  EXPECT_EQ(shared_morsels, kClients * build_chunks + probe_chunks);
+  EXPECT_LT(shared_morsels, solo_morsels / 2)
+      << "shared=" << shared_morsels << " solo=" << solo_morsels;
 }
 
 // ---------------------------------------------------------------------------
@@ -473,7 +474,6 @@ TEST(ServerSchedulerTest, PerQueryMetricsDoNotBleedAcrossConcurrentQueries) {
   QueryScheduler sched(&big.catalog);
   ExecConfig cfg;
   cfg.threads = 4;
-  cfg.pipeline_mode = PipelineMode::kDynamic;
 
   QuerySpec big_spec = SpecFor(0, big.n_r);
   QuerySpec small_spec = SpecFor(0, big.n_r);
@@ -631,22 +631,17 @@ TEST(ServerAdaptiveTest, WarmKeyExploresLessThanItsFirstQuery) {
   // 256 probe chunks: a cold fused schedule needs three rounds to grow its
   // exploit span; a warm one resumes at the grown span.
   ServerData d(4096, 262144, /*sequential_vals=*/false, /*compress=*/true);
-  for (PipelineMode pmode : {PipelineMode::kAuto, PipelineMode::kDynamic}) {
-    for (bool packed : {false, true}) {
-      const std::string ctx =
-          std::string(pmode == PipelineMode::kAuto ? "fused " : "dynamic ") +
-          (packed ? "packed" : "raw");
-      ExecConfig cfg;
-      cfg.pipeline_mode = pmode;
-      QueryScheduler sched(&d.catalog);
-      QuerySpec spec = SpecFor(0, d.n_r);
-      spec.prefer_compressed = packed;
-      const std::vector<uint64_t> explored =
-          ExploreChunksPerQuery(d, &sched, spec, cfg, 5);
-      ASSERT_GT(explored[0], 0u) << ctx;
-      for (size_t q = 1; q < explored.size(); ++q) {
-        EXPECT_LT(explored[q], explored[0]) << ctx << " query " << q;
-      }
+  for (bool packed : {false, true}) {
+    const std::string ctx = packed ? "packed" : "raw";
+    const ExecConfig cfg;
+    QueryScheduler sched(&d.catalog);
+    QuerySpec spec = SpecFor(0, d.n_r);
+    spec.prefer_compressed = packed;
+    const std::vector<uint64_t> explored =
+        ExploreChunksPerQuery(d, &sched, spec, cfg, 5);
+    ASSERT_GT(explored[0], 0u) << ctx;
+    for (size_t q = 1; q < explored.size(); ++q) {
+      EXPECT_LT(explored[q], explored[0]) << ctx << " query " << q;
     }
   }
 }
@@ -726,18 +721,14 @@ TEST(ServerAdaptiveTest, HostWithoutAvx512StillServes) {
   for (const ExecConfig& cfg : {built_on_host, built_here}) {
     QueryScheduler sched(&d.catalog);
     for (bool packed : {false, true}) {
-      for (PipelineMode pmode : {PipelineMode::kAuto, PipelineMode::kDynamic}) {
-        ExecConfig run = cfg;
-        run.pipeline_mode = pmode;
-        QuerySpec spec = SpecFor(1, d.n_r);
-        spec.prefer_compressed = packed;
-        QuerySession session(&d.catalog, &sched);
-        for (int q = 0; q < 3; ++q) {
-          ResultSet rs = session.Execute(spec, run);
-          ASSERT_TRUE(rs.ok) << rs.error;
-          ExpectSameRows(rs.result, MapReference(d, spec),
-                         packed ? "packed" : "raw");
-        }
+      QuerySpec spec = SpecFor(1, d.n_r);
+      spec.prefer_compressed = packed;
+      QuerySession session(&d.catalog, &sched);
+      for (int q = 0; q < 3; ++q) {
+        ResultSet rs = session.Execute(spec, cfg);
+        ASSERT_TRUE(rs.ok) << rs.error;
+        ExpectSameRows(rs.result, MapReference(d, spec),
+                       packed ? "packed" : "raw");
       }
     }
     ASSERT_FALSE(sched.AdaptiveWinners().empty());
